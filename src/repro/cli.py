@@ -391,12 +391,13 @@ def cmd_farm_run(args) -> int:
 def cmd_farm_status(args) -> int:
     from pathlib import Path
 
-    from repro.farm import CampaignSpec, resolve_cached
+    from repro.farm import CampaignSpec
     from repro.farm.plan import STATE_FILENAME
-    from repro.sim.parallel import ResultCache
+    from repro.sim.parallel import ResultCache, resolve_points
 
     spec = CampaignSpec.load(args.dir)
-    progress = resolve_cached(spec, ResultCache(args.cache_dir))
+    progress = resolve_points(spec.configs, spec.warmup, spec.measure,
+                              ResultCache(args.cache_dir))
     print(f"campaign {spec.name}: {progress.cached}/{progress.total}"
           f" points cached, {len(progress.missing)} to compute")
     state_path = Path(args.dir) / STATE_FILENAME
@@ -666,8 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
         fp = farm_sub.add_parser(verb, help=blurb)
         fp.add_argument("dir", help="campaign directory")
         fp.add_argument("--hosts", default="local",
-                        help="comma-separated workers: local[:N],"
-                        " ssh:HOST[:python], ext:DIR"
+                        help="comma-separated workers: local[:N] (N process"
+                        " slots), ssh:HOST[:python], ext:DIR"
                         " (default: %(default)s)")
         fp.add_argument("--retries", type=int, default=2,
                         help="re-dispatch budget per shard")
@@ -729,8 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="1 = traced in-process execution (live time"
-                   " series + Perfetto traces); >1 = parallel pool"
-                   " (progress events only)")
+                   " series + Perfetto traces); >1 = local process pool")
     p.add_argument("--hosts", default=None,
                    help="execute on a farm instead (same syntax as"
                    " 'farm run --hosts')")

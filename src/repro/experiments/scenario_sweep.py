@@ -4,21 +4,18 @@ The campaign service's scenario library
 (:mod:`repro.service.scenarios`) is addressable from experiments too:
 ``python -m repro.experiments.runner smoke scenarios`` expands every
 named scenario at the requested scale and executes it through the same
-cache-aware point dispatch as the sweeps — so a scenario run here, by
-the service, or via ``repro submit`` produces (and reuses) identical
-cache entries.
+execution call as the sweeps (workers, farm hosts, retries and point
+timeout all honoured) — so a scenario run here, by the service, or via
+``repro submit`` produces (and reuses) identical cache entries.
 """
 
 from __future__ import annotations
 
 from repro.experiments.common import Scale, get_scale
+from repro.farm.executor import execute_points
 from repro.service.scenarios import SCENARIOS, build_campaign
-from repro.sim.parallel import (
-    ResultCache,
-    get_default_execution,
-    resolve_points,
-    run_points,
-)
+from repro.sim.parallel import ResultCache, get_default_execution
+from repro.util.progress import ProgressReporter
 
 
 def run(scale: str | Scale = "smoke",
@@ -30,19 +27,15 @@ def run(scale: str | Scale = "smoke",
     rows = []
     for name in names if names is not None else list(SCENARIOS):
         spec = build_campaign(name, sc)
-        before = resolve_points(
-            spec.configs, spec.warmup, spec.measure, cache,
-            keys=spec.point_keys(),
-        )
-        results = run_points(
-            list(spec.configs), spec.warmup, spec.measure,
-            workers=execution.workers, cache=cache,
-        )
+        counts = ProgressReporter(total=len(spec.configs), enabled=False)
+        results = execute_points(spec.configs, spec.warmup, spec.measure,
+                                 execution, cache=cache, reporter=counts,
+                                 name=spec.name)
         rows.append({
             "scenario": name,
             "category": SCENARIOS[name].category,
             "points": len(results),
-            "cached": before.cached,
+            "cached": counts.cache_hits,
             "peak_throughput": max(r.throughput_fpc for r in results),
             "deadlocks": sum(r.deadlocks for r in results),
             "delivered": sum(r.messages_delivered for r in results),

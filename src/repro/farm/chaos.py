@@ -123,6 +123,7 @@ class ChaosWorker(FarmWorker):
                  *, sleep=time.sleep) -> None:
         self.inner = inner
         self.name = inner.name
+        self.width = inner.width
         self.faults = tuple(faults)
         self._sleep = sleep
         self.dispatches = 0

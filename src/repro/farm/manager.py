@@ -1,4 +1,4 @@
-"""The farm manager: robust shard dispatch over unreliable workers.
+"""The farm manager: the one dispatch loop behind every front end.
 
 :class:`FarmManager.run` executes one :class:`CampaignSpec` across a set
 of :class:`~repro.farm.workers.FarmWorker`\\ s and returns results
@@ -6,21 +6,25 @@ bit-identical to a serial :func:`repro.sim.parallel.run_points` — every
 point is computed by the same deterministic ``run_point``, wherever it
 lands, and the shared ``.repro_cache`` (atomic per-point JSON puts) is
 the only coordination channel, so crashed managers resume and racing
-twins converge for free.
+twins converge for free.  Local runs (``run_points``, sweeps, the
+service) go through this loop too, on the in-process and process-pool
+worker kinds.
 
 Robustness machinery, in dispatch-loop order:
 
 * **reap** — finished dispatches are validated before anything touches
   the cache; a worker returning garbage is a host-health event, not a
-  corrupted campaign.
+  corrupted campaign.  A point's *own* failure (raised, process died,
+  ``point_timeout``) costs its retry budget, never host health.
 * **hang watch** — a dispatch silent past ``hang_timeout`` is abandoned
   (its late answer is discarded) and its shard re-queued.
 * **speculation** — once the queue is drained, shards running longer
   than ``straggler_factor`` x the median completed-shard time are
   speculatively re-dispatched to an idle host; first completion wins.
-* **dispatch** — pending shards go to idle hosts in health order
-  (healthy before suspect before quarantine probes), honouring each
-  shard's seeded-jitter backoff deadline
+* **dispatch** — pending shards go to hosts with a free slot (a host
+  holds up to its ``width`` dispatches) in health order (healthy before
+  suspect before quarantine probes), honouring each shard's
+  seeded-jitter backoff deadline
   (:class:`~repro.util.backoff.BackoffPolicy`).
 * **health** — per-host state machine (:mod:`repro.farm.health`):
   failures escalate healthy -> suspect -> quarantined, quarantined hosts
@@ -28,6 +32,9 @@ Robustness machinery, in dispatch-loop order:
   campaign simply completes on the survivors.  If every retry budget is
   exhausted, :class:`~repro.util.errors.SweepExecutionError` reports the
   failed points *and* per-host attribution.
+* **wait** — the loop blocks on its dispatch futures until one lands
+  or the next deadline falls due.  Clock and executor are injected, so
+  a chaos schedule replays exactly on virtual time.
 
 Every decision is recorded on the attached
 :class:`~repro.telemetry.Tracer` (dispatch, heartbeat, quarantine,
@@ -38,13 +45,13 @@ timeline exports to Perfetto like any simulation trace.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from dataclasses import dataclass, field, replace
 
 from repro.farm.health import PROBATION, QUARANTINED, SUSPECT, HostHealth
-from repro.farm.plan import CampaignSpec, Shard, plan_shards, resolve_cached
+from repro.farm.plan import CampaignSpec, Shard, plan_shards
 from repro.farm.workers import FarmWorker, ShardJob, ShardOutcome
-from repro.sim.parallel import ResultCache
+from repro.sim.parallel import PointResolution, ResultCache, resolve_points
 from repro.sim.results import RunResult
 from repro.telemetry import events as ev
 from repro.util.backoff import BackoffPolicy
@@ -76,7 +83,6 @@ class _ShardState:
     ready_at_ms: int = 0
     inflight: int = 0
     speculated: bool = False
-    last_error: str = ""
 
 
 @dataclass(frozen=True)
@@ -104,8 +110,6 @@ class FarmPolicy:
     probation: float = 2.0
     #: wall seconds between heartbeat events per busy host.
     heartbeat_interval: float = 0.25
-    #: dispatch-loop poll interval in seconds.
-    tick: float = 0.01
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -114,8 +118,29 @@ class FarmPolicy:
             raise ConfigurationError("hang_timeout must be positive")
         if self.straggler_factor <= 1.0:
             raise ConfigurationError("straggler_factor must exceed 1")
-        if self.tick <= 0 or self.heartbeat_interval <= 0:
-            raise ConfigurationError("tick/heartbeat must be positive")
+        if self.heartbeat_interval <= 0:
+            raise ConfigurationError("heartbeat_interval must be positive")
+
+
+class ThreadExecutor:
+    """The default executor: dispatch threads on the wall clock.  An
+    injected one offers the same ``submit`` and ``wait`` (block until a
+    future is done or ``timeout`` seconds pass; return the done ones)."""
+
+    def __init__(self, max_workers: int) -> None:
+        self._pool = ThreadPoolExecutor(max_workers=max_workers,
+                                        thread_name_prefix="farm")
+
+    def submit(self, fn, *args) -> Future:
+        return self._pool.submit(fn, *args)
+
+    def wait(self, futures, timeout: float | None) -> set[Future]:
+        return wait(futures, timeout=timeout, return_when=FIRST_COMPLETED).done
+
+    def shutdown(self) -> None:
+        # Abandoned (hung) dispatch threads must not block the
+        # campaign's end; they die with the process.
+        self._pool.shutdown(wait=False, cancel_futures=True)
 
 
 class FarmManager:
@@ -129,7 +154,7 @@ class FarmManager:
         policy: FarmPolicy | None = None,
         tracer=None,
         clock=time.monotonic,
-        sleep=time.sleep,
+        executor=None,
     ) -> None:
         if not workers:
             raise ConfigurationError("a farm needs at least one worker")
@@ -141,21 +166,26 @@ class FarmManager:
         self.policy = policy or FarmPolicy()
         self.tracer = tracer
         self._clock = clock
-        self._sleep = sleep
+        self._executor = executor
         self.health: dict[str, HostHealth] = {}
         self._report: dict = {}
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def run(self, spec: CampaignSpec) -> list[RunResult]:
+    def run(self, spec: CampaignSpec, *,
+            resolution: PointResolution | None = None,
+            on_point=None) -> list[RunResult]:
         """Execute ``spec``; returns results in campaign point order.
 
         Cached points are never recomputed, so calling ``run`` again
         after a crash (or after this very call raised) *is* the resume
-        operation.  Raises :class:`SweepExecutionError` with per-host
-        attribution when points exhaust their retry budget or every
-        host is lost.
+        operation.  ``resolution`` is the caller's cache answer for
+        ``spec`` if it already holds one; ``on_point(idx, result,
+        elapsed)`` is called (in this thread) as each point lands.
+        Workers are closed on return.  Raises
+        :class:`SweepExecutionError` with per-host attribution when
+        points exhaust their retry budget or every host is lost.
         """
         pol = self.policy
         self._t0 = self._clock()
@@ -169,44 +199,49 @@ class FarmManager:
             )
             for name in self.workers
         }
-        progress = resolve_cached(spec, self.cache)
-        keys = spec.point_keys()
-        shards = plan_shards(progress.missing, spec.shard_size)
+        if resolution is None:
+            resolution = resolve_points(spec.configs, spec.warmup,
+                                        spec.measure, self.cache)
+        shards = plan_shards(resolution.missing, spec.shard_size)
         states = {s.index: _ShardState(shard=s) for s in shards}
         failures: dict[int, tuple] = {}
         self._durations_ms: list[int] = []
         self._dispatch_seq = 0
         self._inflight: dict[int, _Dispatch] = {}
-        self._busy: dict[str, int] = {}
+        self._busy: dict[str, set[int]] = {name: set() for name in self.workers}
         self._last_heartbeat_ms = 0
+        self._on_point = on_point
 
         if shards:
-            pool = ThreadPoolExecutor(
-                max_workers=2 * len(self.workers) + 2,
-                thread_name_prefix="farm",
+            executor = self._executor or ThreadExecutor(
+                2 * sum(w.width for w in self.workers.values()) + 2
             )
             try:
-                self._loop(spec, states, progress, keys, failures, pool)
+                self._loop(spec, states, resolution, failures, executor)
             finally:
-                # Abandoned (hung) dispatch threads must not block the
-                # campaign's end; they die with the process.
-                pool.shutdown(wait=False, cancel_futures=True)
+                if executor is not self._executor:
+                    executor.shutdown()
+                for worker in self.workers.values():
+                    worker.close()
 
-        computed = progress.total - progress.cached - len(failures)
-        self._emit(ev.FARM_MERGE, total=progress.total,
-                   cached=progress.cached, computed=computed,
+        computed = resolution.total - resolution.cached - len(failures)
+        self._emit(ev.FARM_MERGE, total=resolution.total,
+                   cached=resolution.cached, computed=computed,
                    failed=len(failures))
         self._report = {
-            "total": progress.total,
-            "cached": progress.cached,
+            "total": resolution.total,
+            "cached": resolution.cached,
             "computed": computed,
             "failed": sorted(failures),
             "elapsed_ms": self._now_ms(),
             "hosts": self.attribution(),
         }
         if failures:
-            raise SweepExecutionError(failures, attribution=self.attribution())
-        return [r for r in progress.results if r is not None]
+            host_faults = any(h.shards_failed for h in self.health.values())
+            raise SweepExecutionError(
+                failures, attribution=self.attribution() if host_faults else None
+            )
+        return resolution.results  # type: ignore[return-value]
 
     def attribution(self) -> dict:
         """Per-host summary blocks (state, shard counts, last error)."""
@@ -219,16 +254,40 @@ class FarmManager:
     # ------------------------------------------------------------------
     # Dispatch loop
     # ------------------------------------------------------------------
-    def _loop(self, spec, states, progress, keys, failures, pool) -> None:
-        pol = self.policy
-        while any(s.status in ("pending", "running") for s in states.values()):
+    def _loop(self, spec, states, resolution, failures, executor) -> None:
+        while True:
             now = self._now_ms()
-            self._reap(spec, states, progress, keys, failures, now)
+            self._reap(spec, states, resolution, failures, now)
             self._watch_hangs(spec, states, failures, now)
-            self._speculate(spec, states, pool, now)
-            self._dispatch_pending(spec, states, pool, now)
+            if not any(s.status in ("pending", "running")
+                       for s in states.values()):
+                return
+            self._speculate(spec, states, executor, now)
+            self._dispatch_pending(spec, states, executor, now)
             self._heartbeat(now)
-            self._sleep(pol.tick)
+            wake = self._next_deadline(states, now)
+            executor.wait(
+                [d.future for d in self._inflight.values()],
+                None if wake is None else max(0, wake - now) / 1000,
+            )
+
+    def _next_deadline(self, states, now) -> int | None:
+        """The next millisecond with work no dispatch completion would
+        announce: a backoff or probation ending, a hang limit, or the
+        heartbeat (which also paces the straggler check)."""
+        pol = self.policy
+        due = [s.ready_at_ms for s in states.values() if s.status == "pending"]
+        due += [h.quarantined_until for h in self.health.values()
+                if h.state == QUARANTINED]
+        live = [d for d in self._inflight.values() if not d.abandoned]
+        if live:
+            due.append(self._last_heartbeat_ms
+                       + int(pol.heartbeat_interval * 1000))
+        if live and pol.hang_timeout is not None:
+            limit = int(pol.hang_timeout * 1000)
+            due += [d.started_ms + limit + 1 for d in live]
+        due = [t for t in due if t > now]
+        return min(due) if due else None
 
     def _now_ms(self) -> int:
         return int((self._clock() - self._t0) * 1000)
@@ -238,11 +297,10 @@ class FarmManager:
             self.tracer.farm_event(kind, self._now_ms(), **payload)
 
     # -- reaping -------------------------------------------------------
-    def _reap(self, spec, states, progress, keys, failures, now) -> None:
+    def _reap(self, spec, states, resolution, failures, now) -> None:
         for disp in [d for d in self._inflight.values() if d.future.done()]:
             del self._inflight[disp.id]
-            if self._busy.get(disp.host) == disp.id:
-                del self._busy[disp.host]
+            self._busy[disp.host].discard(disp.id)
             if disp.abandoned:
                 continue  # already charged when abandoned; answer discarded
             try:
@@ -262,26 +320,46 @@ class FarmManager:
                 self._shard_failed(spec, states, failures, disp,
                                    f"invalid results: {reason}", now)
                 continue
-            self._shard_done(spec, states, progress, keys, disp, outcome, now)
+            self._shard_done(spec, states, resolution, failures, disp,
+                             outcome, now)
 
-    def _shard_done(self, spec, states, progress, keys, disp, outcome,
+    def _shard_done(self, spec, states, resolution, failures, disp, outcome,
                     now) -> None:
         state = states[disp.shard.index]
         state.inflight -= 1
-        self.health[disp.host].record_success(now)
+        if outcome.results:
+            self.health[disp.host].record_success(now)
         if state.status == "done":
             return  # the speculative twin already landed this shard
         elapsed = now - disp.started_ms
-        self._durations_ms.append(elapsed)
         for idx in disp.shard.points:
-            result = outcome.results[idx]
+            result = outcome.results.get(idx)
+            if result is None or resolution.results[idx] is not None:
+                continue
             # First completion wins through the cache's atomic put: a
             # racing twin writes byte-identical content, so whichever
             # rename lands last changes nothing.
             if self.cache is not None:
-                self.cache.put(keys[idx], spec.configs[idx], spec.warmup,
-                               spec.measure, result)
-            progress.results[idx] = result
+                self.cache.put(resolution.keys[idx], spec.configs[idx],
+                               spec.warmup, spec.measure, result)
+            resolution.results[idx] = result
+            if self._on_point is not None:
+                self._on_point(idx, result,
+                               outcome.elapsed.get(idx, elapsed / 1000))
+        left = tuple(i for i in state.shard.points
+                     if resolution.results[i] is None)
+        if left:
+            # The points' own failures: retried on their own budget, with
+            # their original exceptions, and never held against the host.
+            state.shard = replace(state.shard, points=left)
+            errors = {i: outcome.failures[i] for i in left}
+            self._emit(ev.FARM_SHARD_FAILED, host=disp.host,
+                       shard=disp.shard.index,
+                       reason="; ".join(f"point {i}: {exc!r}"
+                                        for i, exc in errors.items()))
+            self._retry_or_fail(spec, state, failures, disp, now, errors)
+            return
+        self._durations_ms.append(elapsed)
         state.status = "done"
         self._emit(ev.FARM_SHARD_DONE, host=disp.host,
                    shard=disp.shard.index, elapsed_ms=elapsed,
@@ -290,10 +368,8 @@ class FarmManager:
 
     def _shard_failed(self, spec, states, failures, disp, reason, now, *,
                       exc=None) -> None:
-        pol = self.policy
         state = states[disp.shard.index]
         state.inflight -= 1
-        state.last_error = reason
         health = self.health[disp.host]
         before = health.state
         after = health.record_failure(now, error=reason)
@@ -305,6 +381,16 @@ class FarmManager:
             elif after == QUARANTINED:
                 self._emit(ev.FARM_QUARANTINE, host=disp.host,
                            until_ms=health.quarantined_until, reason=reason)
+        error = exc if exc is not None else ShardFailure(
+            f"{disp.shard.describe()} failed on {disp.host}: {reason}"
+        )
+        self._retry_or_fail(spec, state, failures, disp, now,
+                            dict.fromkeys(state.shard.points, error))
+
+    def _retry_or_fail(self, spec, state, failures, disp, now,
+                       errors) -> None:
+        """Charge one attempt to ``state``; back off or give up."""
+        pol = self.policy
         if state.status == "done" or state.inflight > 0:
             # A twin already landed it, or is still trying: the failure
             # charges the host but not the shard.
@@ -312,20 +398,19 @@ class FarmManager:
         state.attempts += 1
         if state.attempts > pol.retries:
             state.status = "failed"
-            error = exc if exc is not None else ShardFailure(
-                f"{disp.shard.describe()} failed on {disp.host}: {reason}"
-            )
-            for idx in disp.shard.points:
-                failures[idx] = (spec.configs[idx], error)
-        else:
-            delay = pol.backoff.delay(
-                state.attempts, key=f"shard{disp.shard.index}"
-            )
-            state.status = "pending"
-            state.ready_at_ms = now + int(delay * 1000)
-            self._emit(ev.FARM_BACKOFF, shard=disp.shard.index,
-                       host=disp.host, attempt=state.attempts,
-                       delay_ms=int(delay * 1000))
+            for idx in state.shard.points:
+                failures[idx] = (spec.configs[idx], errors[idx])
+            return
+        # Keyed by the shard's first point, so single-point shards (every
+        # local run) back off on the per-point schedule.
+        delay = pol.backoff.delay(
+            state.attempts, key=f"point{state.shard.points[0]}"
+        )
+        state.status = "pending"
+        state.ready_at_ms = now + int(delay * 1000)
+        self._emit(ev.FARM_BACKOFF, shard=state.shard.index,
+                   host=disp.host, attempt=state.attempts,
+                   delay_ms=int(delay * 1000))
 
     def _validate(self, spec, shard, outcome: ShardOutcome) -> str | None:
         """None if the outcome is plausible, else a rejection reason.
@@ -338,6 +423,8 @@ class FarmManager:
         their health standing before the cache is touched.
         """
         for idx in shard.points:
+            if idx in outcome.failures:
+                continue
             result = outcome.results.get(idx)
             if not isinstance(result, RunResult):
                 return f"point {idx} missing from results"
@@ -366,17 +453,16 @@ class FarmManager:
             if disp.abandoned or now - disp.started_ms <= limit:
                 continue
             disp.abandoned = True
-            # Free the slot: the wedged thread keeps the pool's spare
+            # Free the slot: the wedged thread keeps the executor's spare
             # capacity busy, not the host's dispatch slot.
-            if self._busy.get(disp.host) == disp.id:
-                del self._busy[disp.host]
+            self._busy[disp.host].discard(disp.id)
             self._shard_failed(
                 spec, states, failures, disp,
                 f"hang: no answer in {pol.hang_timeout:g}s", now,
             )
 
     # -- speculation ---------------------------------------------------
-    def _speculate(self, spec, states, pool, now) -> None:
+    def _speculate(self, spec, states, executor, now) -> None:
         pol = self.policy
         if not self._durations_ms:
             return
@@ -400,10 +486,10 @@ class FarmManager:
             self._emit(ev.FARM_REDISPATCH, shard=disp.shard.index,
                        host=host, straggler=disp.host,
                        running_ms=now - disp.started_ms)
-            self._launch(spec, state, host, pool, now, speculative=True)
+            self._launch(spec, state, host, executor, now, speculative=True)
 
     # -- dispatch ------------------------------------------------------
-    def _dispatch_pending(self, spec, states, pool, now) -> None:
+    def _dispatch_pending(self, spec, states, executor, now) -> None:
         ready = sorted(
             (s for s in states.values()
              if s.status == "pending" and now >= s.ready_at_ms),
@@ -413,20 +499,21 @@ class FarmManager:
             host = self._pick_host(now)
             if host is None:
                 return
-            self._launch(spec, state, host, pool, now)
+            self._launch(spec, state, host, executor, now)
 
     def _pick_host(self, now, exclude: set[str] | None = None) -> str | None:
         candidates = [
             h for name, h in self.health.items()
-            if name not in self._busy
+            if len(self._busy[name]) < self.workers[name].width
             and (exclude is None or name not in exclude)
             and h.can_dispatch(now)
         ]
         if not candidates:
             return None
-        return min(candidates, key=lambda h: (h.rank(), h.name)).name
+        return min(candidates, key=lambda h: (
+            h.rank(), len(self._busy[h.name]), h.name)).name
 
-    def _launch(self, spec, state, host, pool, now,
+    def _launch(self, spec, state, host, executor, now,
                 speculative: bool = False) -> None:
         health = self.health[host]
         if health.state == QUARANTINED:
@@ -443,11 +530,11 @@ class FarmManager:
         worker = self.workers[host]
         disp = _Dispatch(
             id=self._dispatch_seq, shard=state.shard, host=host,
-            started_ms=now, future=pool.submit(worker.run_shard, job),
+            started_ms=now, future=executor.submit(worker.run_shard, job),
             speculative=speculative,
         )
         self._inflight[disp.id] = disp
-        self._busy[host] = disp.id
+        self._busy[host].add(disp.id)
         state.status = "running"
         state.inflight += 1
         self._emit(ev.FARM_DISPATCH, host=host, shard=state.shard.index,
@@ -465,4 +552,3 @@ class FarmManager:
                 self._emit(ev.FARM_HEARTBEAT, host=disp.host,
                            shard=disp.shard.index,
                            busy_ms=now - disp.started_ms)
-

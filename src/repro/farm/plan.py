@@ -8,27 +8,23 @@ a crash.  A *shard* is a contiguous slice of campaign point indices: the
 unit of dispatch, retry and speculative re-execution.
 
 The per-point cache key (:func:`repro.sim.parallel.point_key`) is the
-coordination substrate: planning against a :class:`ResultCache` returns
-only the points the cache does not already hold, which makes resume the
-same operation as a fresh run — finished points are never recomputed,
-whoever computed them.
+coordination substrate: resolving a campaign against a
+:class:`~repro.sim.parallel.ResultCache`
+(:func:`repro.sim.parallel.resolve_points`) leaves only the points the
+cache does not already hold, which makes resume the same operation as a
+fresh run — finished points are never recomputed, whoever computed
+them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.config import SimConfig
 from repro.faults.models import FaultSpec
-from repro.sim.parallel import (
-    ResultCache,
-    code_version,
-    point_key,
-    resolve_points,
-)
-from repro.sim.results import RunResult
+from repro.sim.parallel import code_version, point_key
 from repro.util.errors import ConfigurationError
 
 #: on-disk name of a planned campaign inside its farm directory.
@@ -154,38 +150,3 @@ class CampaignSpec:
                 f"no campaign plan at {path} ({exc})"
             ) from exc
         return cls.from_dict(payload)
-
-
-@dataclass
-class CampaignProgress:
-    """The cache's answer to "what is left to run?"."""
-
-    results: list[RunResult | None] = field(default_factory=list)
-    missing: list[int] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.results)
-
-    @property
-    def cached(self) -> int:
-        return self.total - len(self.missing)
-
-
-def resolve_cached(spec: CampaignSpec,
-                   cache: ResultCache | None) -> CampaignProgress:
-    """Fill every cache-hit point; list the indices still to compute.
-
-    This is both the resume mechanism (a rerun only re-plans the
-    missing indices) and the merge mechanism (after a run, everything
-    is read back through the same keys).  The dedup itself is the
-    shared :func:`repro.sim.parallel.resolve_points`, so farm planning,
-    local execution and the campaign service agree on every key.
-    """
-    resolution = resolve_points(
-        spec.configs, spec.warmup, spec.measure, cache,
-        keys=spec.point_keys(),
-    )
-    return CampaignProgress(
-        results=resolution.results, missing=resolution.missing
-    )

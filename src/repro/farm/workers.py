@@ -1,14 +1,19 @@
 """Farm workers: pluggable executors for one shard of a campaign.
 
-A worker is anything with a ``name`` and a blocking
-``run_shard(job) -> ShardOutcome`` — the manager calls it from a
-dispatch thread, so a worker may take seconds or minutes.  Three
-transports ship here:
+A worker is anything with a ``name``, a ``width`` (dispatches it holds
+at once) and a blocking ``run_shard(job) -> ShardOutcome`` — the
+manager calls it from a dispatch thread, so a worker may take seconds
+or minutes.  Four kinds ship here:
 
+``InProcessWorker``
+    Runs each point in its dispatch thread (one slot, nothing to kill):
+    ``run_points(workers=1)`` and the service's traced path.
 ``LocalPoolWorker``
-    Wraps :func:`repro.sim.parallel.run_points` — today's in-process
-    fan-out becomes one farm host, with its own process-pool width and
-    per-point wall-clock timeout.
+    ``workers`` slots, each a single-process executor: a point past
+    ``point_timeout`` has its process killed and its slot respawned
+    while its siblings run on.  Both local kinds report a point's own
+    failure (it raised, its process died, it timed out) in
+    :attr:`ShardOutcome.failures`, charged to the point, not the host.
 ``SSHHostWorker``
     Pipes a JSON job document to ``python -m repro.farm.remote`` on a
     remote machine over plain ``ssh`` (stdlib :mod:`subprocess`, no new
@@ -30,16 +35,33 @@ from __future__ import annotations
 
 import json
 import subprocess
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.config import SimConfig
 from repro.farm.plan import Shard, config_to_dict
-from repro.sim.parallel import run_points
+from repro.sim.parallel import PointFn
 from repro.sim.results import RunResult
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, PointTimeoutError
+
+
+def timed(point_fn: PointFn, config: SimConfig, warmup: int,
+          measure: int) -> tuple[RunResult, float]:
+    """Run one point and time it where it runs (module-level: pickles)."""
+    start = time.monotonic()
+    result = point_fn(config, warmup, measure)
+    return result, time.monotonic() - start
+
+
+def default_point_fn() -> PointFn:
+    from repro.sim.sweep import run_point
+
+    return run_point
 
 
 class ShardTransportError(RuntimeError):
@@ -88,6 +110,10 @@ class ShardOutcome:
     #: campaign point index -> result (success only).
     results: dict[int, RunResult] = field(default_factory=dict)
     error: str = ""
+    #: campaign point index -> the point's own exception (local kinds).
+    failures: dict[int, BaseException] = field(default_factory=dict)
+    #: campaign point index -> seconds the point ran, where it ran.
+    elapsed: dict[int, float] = field(default_factory=dict)
 
     @classmethod
     def from_wire(cls, payload: dict[str, Any]) -> "ShardOutcome":
@@ -108,9 +134,11 @@ class ShardOutcome:
 
 
 class FarmWorker:
-    """Interface: named, blocking, one shard at a time."""
+    """Interface: named, blocking, up to ``width`` shards at a time."""
 
     name: str
+    #: dispatches the manager may hold on this host at once.
+    width: int = 1
 
     def run_shard(self, job: ShardJob) -> ShardOutcome:  # pragma: no cover
         raise NotImplementedError
@@ -118,32 +146,110 @@ class FarmWorker:
     def close(self) -> None:
         """Release transport resources (optional)."""
 
-    def describe(self) -> str:
-        return f"{type(self).__name__}({self.name})"
+
+def _each_point(job: ShardJob, run_one) -> ShardOutcome:
+    """``run_one`` over the job's points; a point's exception is its own."""
+    outcome = ShardOutcome(ok=True)
+    for idx, config in zip(job.shard.points, job.configs):
+        try:
+            outcome.results[idx], outcome.elapsed[idx] = run_one(config)
+        except Exception as exc:
+            outcome.failures[idx] = exc
+    return outcome
+
+
+class InProcessWorker(FarmWorker):
+    """Points run in the dispatch thread itself (one slot, no kill)."""
+
+    def __init__(self, name: str = "local", *,
+                 point_fn: PointFn | None = None) -> None:
+        self.name = name
+        self.point_fn = point_fn
+
+    def run_shard(self, job: ShardJob) -> ShardOutcome:
+        point_fn = self.point_fn or default_point_fn()
+        return _each_point(job, lambda config: timed(
+            point_fn, config, job.warmup, job.measure))
 
 
 class LocalPoolWorker(FarmWorker):
-    """This machine's process pool, presented as one farm host."""
+    """This machine's processes as one host: ``workers`` slots, each a
+    single-process executor, so a wedged point is killed alone."""
 
     def __init__(self, name: str = "local", *, workers: int = 1,
                  point_timeout: float | None = None,
-                 retries: int = 0) -> None:
+                 point_fn: PointFn | None = None) -> None:
         self.name = name
-        self.workers = workers
+        self.width = workers
         self.point_timeout = point_timeout
-        self.retries = retries
+        self.point_fn = point_fn
+        self._lock = threading.Lock()
+        self._idle: list[ProcessPoolExecutor] = []
+        self._live: set[ProcessPoolExecutor] = set()
+
+    @property
+    def workers(self) -> int:
+        return self.width
 
     def run_shard(self, job: ShardJob) -> ShardOutcome:
-        # No cache and no internal retries beyond `retries`: the farm
-        # manager owns persistence, retry budgets and backoff.
-        results = run_points(
-            list(job.configs), job.warmup, job.measure,
-            workers=self.workers, cache=None, retries=self.retries,
-            timeout=self.point_timeout,
-        )
-        return ShardOutcome(ok=True, results=dict(
-            zip(job.shard.points, results)
-        ))
+        point_fn = self.point_fn or default_point_fn()
+        slot = self._take()
+
+        def run_one(config):
+            nonlocal slot
+            future = slot.submit(timed, point_fn, config, job.warmup,
+                                 job.measure)
+            if not wait([future], timeout=self.point_timeout).done:
+                slot = self._respawn(slot)
+                raise PointTimeoutError(self.point_timeout, config)
+            try:
+                return future.result()
+            except BrokenProcessPool:
+                slot = self._respawn(slot)
+                raise
+
+        try:
+            return _each_point(job, run_one)
+        finally:
+            self._give(slot)
+
+    def close(self) -> None:
+        """Stop idle slots; kill the busy ones (their answers are moot)."""
+        with self._lock:
+            idle, busy = self._idle, self._live.difference(self._idle)
+            self._idle, self._live = [], set()
+        for slot in idle:
+            slot.shutdown(wait=True)
+        for slot in busy:
+            _kill(slot)
+
+    def _take(self) -> ProcessPoolExecutor:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+            slot = ProcessPoolExecutor(max_workers=1)
+            self._live.add(slot)
+            return slot
+
+    def _give(self, slot: ProcessPoolExecutor) -> None:
+        with self._lock:
+            if slot in self._live:
+                self._idle.append(slot)
+                return
+        slot.shutdown(wait=False)  # closed while this dispatch ran
+
+    def _respawn(self, slot: ProcessPoolExecutor) -> ProcessPoolExecutor:
+        with self._lock:
+            self._live.discard(slot)
+        _kill(slot)
+        return self._take()
+
+
+def _kill(slot: ProcessPoolExecutor) -> None:
+    # A wedged point never returns; SIGTERM is the only way out.
+    for proc in list((slot._processes or {}).values()):
+        proc.terminate()
+    slot.shutdown(wait=False, cancel_futures=True)
 
 
 class SSHHostWorker(FarmWorker):

@@ -11,12 +11,13 @@ execution.  The manager:
   :func:`repro.sim.parallel.resolve_points`, so points already in
   ``.repro_cache`` are filled instantly and never dispatched (a fully
   cached campaign completes without touching the executor at all);
-* executes missing points through the **existing backends** — the
-  in-process traced path (default: live time-series streaming + a
-  per-job Perfetto trace), the parallel pool (``workers > 1``) or the
-  distributed farm (``farm_hosts``) — all writing through the same
-  cache keys, so results are bit-identical to ``run_sweep`` whichever
-  path runs them;
+* executes missing points through **one execution call**
+  (:func:`repro.farm.executor.execute_points`, shared with
+  ``run_points`` and the farm): in-process under a per-point tracer by
+  default (live samples + a per-job Perfetto trace), else on a local
+  pool (``workers > 1``) or the farm (``farm_hosts``) — one retry
+  budget, results bit-identical to ``run_sweep``, and the same
+  per-point ``progress`` event on every path;
 * streams **progress / sample / status events** through an
   :class:`~repro.service.sse.EventBroker` topic per job id;
 * **drains gracefully**: shutdown finishes the running job, then
@@ -36,13 +37,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.config import SimConfig
+from repro.config import ExecutionConfig, SimConfig
+from repro.farm.executor import execute_points
 from repro.farm.plan import CampaignSpec
-from repro.sim.parallel import (
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    resolve_points,
-)
+from repro.sim.parallel import DEFAULT_CACHE_DIR, ResultCache, resolve_points
 from repro.sim.results import RunResult
 from repro.sim.sweep import summarize_window
 from repro.telemetry import Tracer, to_perfetto
@@ -61,15 +59,18 @@ _TERMINAL = (DONE, FAILED, CANCELLED)
 TRACE_CAPACITY = 20_000
 
 
-def job_id_for(spec: CampaignSpec) -> str:
+def job_id_for(spec: CampaignSpec, keys: list[str] | None = None) -> str:
     """Deterministic job id: digest of the campaign's point cache keys.
 
     Two submissions naming the same points (keys already fold in the
     full config, the window and the code digest) collapse onto one job,
-    whatever scenario name or priority they arrived with.
+    whatever scenario name or priority they arrived with.  ``keys``
+    spares a caller that already holds ``spec.point_keys()`` computing
+    them again.
     """
     blob = json.dumps(
-        {"keys": spec.point_keys(), "warmup": spec.warmup,
+        {"keys": keys if keys is not None else spec.point_keys(),
+         "warmup": spec.warmup,
          "measure": spec.measure},
         sort_keys=True,
     )
@@ -161,28 +162,40 @@ def _merge_point_traces(
     }
 
 
-class _ThreadReporter:
-    """Duck-typed ProgressReporter forwarding pool progress to the loop.
+class _TracedPoints:
+    """The traced path's point function: one tracer per point attempt,
+    readable from the event loop while the point runs.
 
-    ``run_points`` calls ``update``/``finish`` from a worker thread;
-    events are marshalled onto the event loop thread-safely.
+    Runs in the in-process worker's dispatch thread.  Telemetry hooks
+    are non-perturbing (pinned by the backend-equivalence suite), so the
+    traced result is bit-identical to ``run_point``.
     """
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, publish) -> None:
-        self._loop = loop
-        self._publish = publish
-        self._done = 0
+    def __init__(self, job: "Job", missing: list[int], level: str,
+                 sample_every: int) -> None:
+        self._index = {id(job.spec.configs[i]): i for i in missing}
+        self._level = level
+        self._sample_every = sample_every
+        #: point index -> [tracer, samples already published].
+        self.live: dict[int, list] = {}
 
-    def update(self, cached: bool = False, elapsed: float | None = None,
-               failed: bool = False) -> None:
-        self._done += 1
-        self._loop.call_soon_threadsafe(
-            self._publish, {"cached": cached, "failed": failed,
-                            "elapsed_ms": round((elapsed or 0.0) * 1e3)}
-        )
+    def __call__(self, config: SimConfig, warmup: int,
+                 measure: int) -> RunResult:
+        from repro.sim.engine import build_engine
 
-    def finish(self) -> None:
-        pass
+        engine = build_engine(config)
+        tracer = Tracer(level=self._level, sample_every=self._sample_every,
+                        capacity=TRACE_CAPACITY)
+        try:
+            engine.attach_tracer(tracer)
+        except UnsupportedFeatureError:
+            # e.g. the vector backend refuses tracing; the point still
+            # runs (progress streams, no samples/trace).
+            pass
+        else:
+            self.live[self._index[id(config)]] = [tracer, 0]
+        window = engine.run_measured(warmup, measure)
+        return summarize_window(config, engine, window)
 
 
 class JobManager:
@@ -265,7 +278,8 @@ class JobManager:
         is re-queued fresh.  A resubmission with a higher priority
         promotes a still-queued job.
         """
-        jid = job_id_for(spec)
+        keys = spec.point_keys()
+        jid = job_id_for(spec, keys)
         existing = self.jobs.get(jid)
         if existing is not None and existing.state not in (FAILED, CANCELLED):
             if existing.state == QUEUED and priority > existing.priority:
@@ -274,8 +288,7 @@ class JobManager:
             return existing, False
 
         resolution = resolve_points(
-            spec.configs, spec.warmup, spec.measure, self.cache,
-            keys=spec.point_keys(),
+            spec.configs, spec.warmup, spec.measure, self.cache, keys=keys,
         )
         self._seq += 1
         missing_set = set(resolution.missing)
@@ -368,85 +381,72 @@ class JobManager:
         self.broker.close_topic(job.id)
 
     # ------------------------------------------------------------------
-    # Execution backends
+    # Execution
     # ------------------------------------------------------------------
     async def _execute(self, job: Job) -> None:
+        """Run the job's missing points through the one execution call.
+
+        With one worker and no farm, points run in-process under a
+        per-point tracer: samples stream while each point runs and the
+        job gets a Perfetto trace.  Every path reports each landed point
+        through the same callback, so ``progress`` events are identical.
+        """
         missing = [i for i, r in enumerate(job.results) if r is None]
         if not missing:
             return
-        if self.farm_hosts is not None:
-            await self._execute_farm(job, missing)
-        elif self.workers > 1:
-            await self._execute_pool(job, missing)
-        else:
-            await self._execute_traced(job, missing)
+        loop = asyncio.get_running_loop()
+        traced: _TracedPoints | None = None
+        if self.workers == 1 and self.farm_hosts is None:
+            traced = _TracedPoints(job, missing, self.trace_level,
+                                   self.sample_every)
 
-    async def _execute_traced(self, job: Job, missing: list[int]) -> None:
-        """Default path: one point at a time, in a thread, with a tracer.
+        def on_point(pos: int, result: RunResult, elapsed: float) -> None:
+            loop.call_soon_threadsafe(self._point_done, job, missing[pos],
+                                      result, elapsed, traced)
 
-        Telemetry hooks are non-perturbing (the PR-4 guarantee, pinned
-        by the backend-equivalence suite), so the traced result is
-        bit-identical to ``run_point``; the tracer buys live
-        time-series samples on the job's SSE stream and the per-job
-        Perfetto trace.
-        """
-        loop = asyncio.get_event_loop()
-        point_traces: list[tuple[int, SimConfig, dict[str, Any]]] = []
-        for idx in missing:
-            config = job.spec.configs[idx]
-            tracer: Tracer | None = Tracer(
-                level=self.trace_level, sample_every=self.sample_every,
-                capacity=TRACE_CAPACITY,
-            )
-            start = time.monotonic()
-            future = loop.run_in_executor(
-                None, self._traced_point, config, job.spec.warmup,
-                job.spec.measure, tracer,
-            )
-            cursor = 0
-            while True:
-                try:
-                    result, tracer = await asyncio.wait_for(
-                        asyncio.shield(future), timeout=self.poll_interval
-                    )
-                    break
-                except asyncio.TimeoutError:
-                    cursor = self._publish_samples(job, idx, tracer, cursor)
-            self._publish_samples(job, idx, tracer, cursor)
-            self.cache.put(
-                job.keys[idx], config, job.spec.warmup, job.spec.measure,
-                result,
-            )
-            job.results[idx] = result
-            job.computed += 1
-            self._publish_progress(job, idx, config, cached=False,
-                                   elapsed=time.monotonic() - start)
-            if tracer is not None:
-                point_traces.append((idx, config, to_perfetto(tracer)))
-        if point_traces:
-            self._write_trace(job, point_traces)
+        execution = ExecutionConfig(workers=self.workers,
+                                    farm_hosts=self.farm_hosts)
+        future = loop.run_in_executor(None, lambda: execute_points(
+            [job.spec.configs[i] for i in missing], job.spec.warmup,
+            job.spec.measure, execution, cache=self.cache,
+            keys=[job.keys[i] for i in missing], point_fn=traced,
+            on_point=on_point, name=job.spec.name,
+        ))
+        while not future.done():
+            await asyncio.wait({future}, timeout=self.poll_interval)
+            if traced is not None:
+                for idx, entry in list(traced.live.items()):
+                    entry[1] = self._publish_samples(job, idx, *entry)
+        await future
+        if traced is not None and traced.live:
+            self._write_trace(job, [
+                (i, job.spec.configs[i], to_perfetto(traced.live[i][0]))
+                for i in missing if i in traced.live
+            ])
 
-    @staticmethod
-    def _traced_point(config: SimConfig, warmup: int, measure: int,
-                      tracer: Tracer | None):
-        """Worker-thread body: run one point, tracer attached if allowed."""
-        from repro.sim.engine import build_engine
+    def _point_done(self, job: Job, idx: int, result: RunResult,
+                    elapsed: float, traced: _TracedPoints | None) -> None:
+        """A computed point landed: store it, flush its samples, and
+        publish its ``progress`` event (the one schema of every path)."""
+        job.results[idx] = result
+        job.computed += 1
+        entry = traced.live.get(idx) if traced is not None else None
+        if entry is not None:
+            entry[1] = self._publish_samples(job, idx, *entry)
+        config = job.spec.configs[idx]
+        self._publish(job, "progress", {
+            "point": idx,
+            "done": job.done_points,
+            "total": job.total,
+            "cached": False,
+            "load": config.load,
+            "scheme": config.scheme,
+            "pattern": config.pattern,
+            "elapsed_ms": round(elapsed * 1e3),
+        })
 
-        engine = build_engine(config)
-        if tracer is not None:
-            try:
-                engine.attach_tracer(tracer)
-            except UnsupportedFeatureError:
-                # e.g. the vector backend refuses tracing; the point
-                # still runs (progress streams, no samples/trace).
-                tracer = None
-        window = engine.run_measured(warmup, measure)
-        return summarize_window(config, engine, window), tracer
-
-    def _publish_samples(self, job: Job, idx: int, tracer: Tracer | None,
+    def _publish_samples(self, job: Job, idx: int, tracer: Tracer,
                          cursor: int) -> int:
-        if tracer is None:
-            return cursor
         samples = tracer.samples
         for sample in samples[cursor:]:
             occ = sample.get("ni_occupancy", ())
@@ -464,51 +464,6 @@ class JobManager:
             self._publish(job, "sample", payload)
         return len(samples)
 
-    async def _execute_pool(self, job: Job, missing: list[int]) -> None:
-        """Parallel pool path: ``run_points`` across worker processes."""
-        from repro.sim.parallel import run_points
-
-        loop = asyncio.get_event_loop()
-        reporter = _ThreadReporter(
-            loop, lambda info: self._pool_progress(job, info)
-        )
-        configs = [job.spec.configs[i] for i in missing]
-        results = await loop.run_in_executor(
-            None,
-            lambda: run_points(
-                configs, job.spec.warmup, job.spec.measure,
-                workers=self.workers, cache=self.cache, reporter=reporter,
-            ),
-        )
-        for idx, result in zip(missing, results):
-            job.results[idx] = result
-        job.computed += len(missing)
-
-    def _pool_progress(self, job: Job, info: dict[str, Any]) -> None:
-        self._publish(job, "progress", {
-            "total": job.total, "cached": len(job.cached_points), **info,
-        })
-
-    async def _execute_farm(self, job: Job, missing: list[int]) -> None:
-        """Distributed path: points fan across the farm's hosts."""
-        from repro.farm import farm_run_points, parse_hosts
-
-        workers = parse_hosts(self.farm_hosts)
-        configs = [job.spec.configs[i] for i in missing]
-        loop = asyncio.get_event_loop()
-        results = await loop.run_in_executor(
-            None,
-            lambda: farm_run_points(
-                configs, job.spec.warmup, job.spec.measure, workers,
-                cache=self.cache, name=job.spec.name,
-            ),
-        )
-        for idx, result in zip(missing, results):
-            job.results[idx] = result
-            job.computed += 1
-            self._publish_progress(job, idx, job.spec.configs[idx],
-                                   cached=False, elapsed=0.0)
-
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
@@ -517,19 +472,6 @@ class JobManager:
 
     def _publish_status(self, job: Job) -> None:
         self._publish(job, "status", job.to_dict())
-
-    def _publish_progress(self, job: Job, idx: int, config: SimConfig,
-                          cached: bool, elapsed: float) -> None:
-        self._publish(job, "progress", {
-            "point": idx,
-            "done": job.done_points,
-            "total": job.total,
-            "cached": cached,
-            "load": config.load,
-            "scheme": config.scheme,
-            "pattern": config.pattern,
-            "elapsed_ms": round(elapsed * 1e3),
-        })
 
     # ------------------------------------------------------------------
     # Persistence

@@ -6,11 +6,13 @@ cycles beyond steady state") and records a
 :class:`~repro.sim.results.RunResult`.  A sweep can stop early once the
 network is clearly past saturation to save time.
 
-Points are dispatched through :mod:`repro.sim.parallel`, so a sweep can
-fan out across worker processes and reuse cached results while staying
-bit-identical to a serial run: early stopping is preserved by dispatching
-loads in worker-sized chunks, lowest loads first, and truncating the
-curve at the same point a serial sweep would.
+Points are dispatched through the one execution call of
+:mod:`repro.farm.executor`, so a sweep can fan out across worker
+processes or farm hosts and reuse cached results while staying
+bit-identical to a serial run: early stopping is preserved by
+dispatching loads in chunks as wide as the hosts' slots, lowest loads
+first, and truncating the curve at the same point a serial sweep
+would.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections.abc import Sequence
 
 from repro.config import ExecutionConfig, SimConfig
 from repro.sim.engine import build_engine
-from repro.sim.parallel import ResultCache, get_default_execution, run_points
+from repro.sim.parallel import ResultCache, get_default_execution
 from repro.sim.results import RunResult, SweepResult
 from repro.util.progress import ProgressReporter
 
@@ -76,65 +78,33 @@ def run_sweep(
     throughput drops noticeably below its running maximum — i.e. "a
     point just beyond saturation" (Section 4.3.1).
 
-    ``execution`` controls workers, caching and progress; when omitted
-    the process-wide default applies
+    ``execution`` controls workers or farm hosts, caching and progress;
+    when omitted the process-wide default applies
     (:func:`repro.sim.parallel.get_default_execution`).  Points computed
     past an early stop by a parallel chunk are cached but excluded from
     the curve, so the returned points match a serial sweep exactly.
     """
+    # Imported lazily: repro.farm imports repro.sim, whose package init
+    # imports this module.
+    from repro.farm.executor import execute_points, execution_hosts, farm_width
+
     execution = execution or get_default_execution()
     label = label or f"{config.scheme}/{config.pattern}/{config.num_vcs}vc"
     cache = ResultCache(execution.cache_dir) if execution.use_cache else None
     reporter = ProgressReporter(
         total=len(loads), label=label, enabled=execution.progress
     )
-    farm_workers = None
-    if execution.farm_hosts is not None:
-        # Imported lazily: the farm depends on this module's point
-        # function through repro.sim.parallel, and sweeps that never
-        # leave the local machine shouldn't pay for transports.
-        from repro.farm import farm_width, parse_hosts
-
-        farm_workers = parse_hosts(
-            execution.farm_hosts, point_timeout=execution.point_timeout
-        )
     sweep = SweepResult(label=label)
     best = 0.0
     ordered = sorted(loads)
-    chunk = (
-        max(1, farm_width(farm_workers))
-        if farm_workers is not None
-        else max(1, execution.workers)
-    )
+    chunk = max(1, farm_width(execution_hosts(execution, len(ordered))))
     try:
         for start in range(0, len(ordered), chunk):
-            batch = ordered[start:start + chunk]
-            batch_configs = [config.with_(load=load) for load in batch]
-            if farm_workers is not None:
-                from repro.farm import farm_run_points
-
-                points = farm_run_points(
-                    batch_configs,
-                    warmup,
-                    measure,
-                    farm_workers,
-                    cache=cache,
-                    retries=execution.retries,
-                    name=label,
-                )
-                for _ in points:
-                    reporter.update()
-            else:
-                points = run_points(
-                    batch_configs,
-                    warmup,
-                    measure,
-                    workers=execution.workers,
-                    cache=cache,
-                    retries=execution.retries,
-                    reporter=reporter,
-                    timeout=execution.point_timeout,
-                )
+            batch = [config.with_(load=load)
+                     for load in ordered[start:start + chunk]]
+            points = execute_points(batch, warmup, measure, execution,
+                                    cache=cache, reporter=reporter,
+                                    name=label)
             for point in points:
                 sweep.points.append(point)
                 best = max(best, point.throughput_fpc)

@@ -1,9 +1,9 @@
 """Retry backoff with deterministic seeded jitter.
 
-One policy object serves every retry loop in the repo — the in-process
-sweep retries of :mod:`repro.sim.parallel` and the cross-host dispatch
-retries of :mod:`repro.farm` — so "how hard do we hammer a flapping
-worker" is decided in exactly one place.
+One policy object serves the repo's one retry loop — the dispatch loop
+of :mod:`repro.farm`, behind ``run_points``, farm runs and the campaign
+service — so "how hard do we hammer a flapping worker" is decided in
+exactly one place.
 
 Two properties matter and are pinned by ``tests/test_backoff.py``:
 

@@ -114,6 +114,16 @@ class TestWorkflow:
         # assertions; the CLI leg proves the operator path end to end
         assert "tests/test_farm.py" in runs
         assert "tests/test_cache_concurrency.py" in runs
+        # run_points and the service share the farm's dispatch loop
+        assert "tests/test_parallel.py" in runs
+        assert "tests/test_service.py" in runs
+        # ... and the three dispatch suites must pass 10 runs in a row,
+        # failing on the first red one
+        [loop] = [s["run"] for s in steps
+                  if "seq 1 10" in (s.get("run") or "")]
+        for suite in ("test_farm.py", "test_parallel.py", "test_service.py"):
+            assert f"tests/{suite}" in loop
+        assert "|| exit 1" in loop
         assert "farm plan" in runs and "farm run" in runs
         assert "--chaos crash:" in runs and "--chaos hang:" in runs
         assert "--hang-timeout" in runs

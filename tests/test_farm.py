@@ -4,13 +4,18 @@ The campaign under test is tiny (4x4 torus, 100+200 cycles) so every
 test's farm run finishes in well under a second per point; the
 robustness machinery — retries, quarantine, hang abandonment,
 speculation, resume — is exercised with injected faults and compared
-bit-for-bit against serial ``run_points``.
+bit-for-bit against serial ``run_points``.  Chaos schedules run on
+:class:`VirtualTime` (an injected clock and executor), so every
+dispatch, failure and quarantine lands at the same virtual millisecond
+on every run.
 """
 
+import heapq
 import json
+import math
 import sys
 import threading
-import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -27,6 +32,7 @@ from repro.farm import (
     FarmPolicy,
     FarmWorker,
     HostHealth,
+    InProcessWorker,
     LocalPoolWorker,
     SSHHostWorker,
     ShardJob,
@@ -35,12 +41,11 @@ from repro.farm import (
     parse_hosts,
     parse_worker_fault,
     plan_shards,
-    resolve_cached,
 )
 from repro.farm.chaos import InjectedWorkerCrash, WorkerFaultSpec
 from repro.farm.health import HEALTHY, PROBATION, QUARANTINED, SUSPECT
 from repro.farm.remote import execute_job, serve_job_dir
-from repro.sim.parallel import ResultCache, point_key, run_points
+from repro.sim.parallel import ResultCache, point_key, resolve_points, run_points
 from repro.telemetry import Tracer
 from repro.telemetry.export import PID_FARM, to_perfetto
 from repro.util.backoff import BackoffPolicy
@@ -68,6 +73,74 @@ def tiny_spec(loads=LOADS, shard_size=2, **kwargs):
 
 def serial_results(loads=LOADS):
     return run_points(list(tiny_configs(loads)), WARMUP, MEASURE)
+
+
+class VirtualTime:
+    """Virtual clock and executor for :class:`FarmManager`.
+
+    A dispatch runs to completion inside ``submit`` (so its real work
+    and its chaos faults happen in program order) and its future
+    resolves once the virtual clock reaches submit time + ``cost`` +
+    whatever the dispatch spent in :meth:`sleep` (a chaos hang).
+    ``wait`` jumps the clock straight to the next resolution or
+    deadline, so a campaign with a 5 s hang replays in milliseconds.
+    """
+
+    def __init__(self, cost=0.1):
+        self.now = 0.0
+        self.cost = cost
+        self._charge = 0.0
+        self._due = []
+        self._seq = 0
+
+    def clock(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self._charge += seconds
+
+    def submit(self, fn, *args):
+        self._charge = self.cost
+        future = Future()
+        try:
+            outcome, error = fn(*args), None
+        except Exception as exc:
+            outcome, error = None, exc
+        self._seq += 1
+        heapq.heappush(self._due, (self.now + self._charge, self._seq,
+                                   future, outcome, error))
+        return future
+
+    def wait(self, futures, timeout):
+        horizon = math.inf if timeout is None else self.now + timeout
+        if self._due and self._due[0][0] <= horizon:
+            self.now = max(self.now, self._due[0][0])
+        else:
+            assert timeout is not None, "the dispatch loop would block forever"
+            self.now = horizon
+        while self._due and self._due[0][0] <= self.now:
+            _, _, future, outcome, error = heapq.heappop(self._due)
+            if error is None:
+                future.set_result(outcome)
+            else:
+                future.set_exception(error)
+        return {f for f in futures if f.done()}
+
+    def manager(self, workers, **kwargs):
+        return FarmManager(workers, clock=self.clock, executor=self, **kwargs)
+
+    def chaos(self, name, *faults):
+        return ChaosWorker(InProcessWorker(name),
+                           [parse_worker_fault(f) for f in faults],
+                           sleep=self.sleep)
+
+
+def farm_timeline(tracer, kinds=("farm_dispatch", "farm_shard_done",
+                                 "farm_shard_failed", "farm_quarantine",
+                                 "farm_redispatch")):
+    """(ms, kind, host, shard) of the tracer's farm decisions."""
+    return [(t, kind, p.get("host"), p.get("shard"))
+            for t, kind, p in tracer.events if kind in kinds]
 
 
 class CountingWorker(FarmWorker):
@@ -110,12 +183,13 @@ class TestPlanning:
         with pytest.raises(ConfigurationError):
             tiny_spec(shard_size=0)
 
-    def test_resolve_cached_partitions_points(self, tmp_path):
+    def test_resolve_points_partitions_a_campaign(self, tmp_path):
         spec = tiny_spec()
         cache = ResultCache(tmp_path / "cache")
         done = run_points(list(spec.configs[:2]), WARMUP, MEASURE,
                           cache=cache)
-        progress = resolve_cached(spec, cache)
+        progress = resolve_points(spec.configs, spec.warmup, spec.measure,
+                                  cache)
         assert progress.total == len(LOADS)
         assert progress.cached == 2
         assert progress.missing == [2, 3, 4]
@@ -187,7 +261,7 @@ class TestWorkerFaults:
         assert WorkerFaultSpec(kind="crash").applies("anyone", 0)
 
     def test_chaos_worker_crashes_on_schedule(self):
-        inner = LocalPoolWorker("w0")
+        inner = InProcessWorker("w0")
         chaos = ChaosWorker(inner, [parse_worker_fault("crash:at=0")])
         spec = tiny_spec(loads=(0.004,), shard_size=1)
         job = ShardJob(shard=plan_shards([0], 1)[0],
@@ -242,23 +316,19 @@ class TestFarmManager:
         """Crash + garbage workers: results never diverge from serial,
         the dead host is quarantined, and it all shows in the trace.
 
-        w0 crashes instantly on every dispatch, so while w1 grinds a
-        real shard every pending shard can only go to w0 — it reaches
-        its second consecutive failure (quarantine) deterministically.
+        w0 crashes on every dispatch, so while w1 grinds a real shard
+        the pending shards can only go to w0 — on virtual time it
+        reaches its second consecutive failure (quarantine) at 200 ms,
+        on every run.
         """
         spec = tiny_spec()
         tracer = Tracer()
         cache = ResultCache(tmp_path / "cache")
-        workers = [
-            ChaosWorker(LocalPoolWorker("w0"),
-                        [parse_worker_fault("crash:host=w0,count=99")]),
-            ChaosWorker(LocalPoolWorker("w1"),
-                        [parse_worker_fault("garbage:host=w1,at=0")]),
-        ]
-        manager = FarmManager(
-            workers, cache=cache, tracer=tracer,
-            policy=FarmPolicy(retries=6, **FAST),
-        )
+        vt = VirtualTime()
+        workers = [vt.chaos("w0", "crash:host=w0,count=99"),
+                   vt.chaos("w1", "garbage:host=w1,at=0")]
+        manager = vt.manager(workers, cache=cache, tracer=tracer,
+                             policy=FarmPolicy(retries=6, **FAST))
         assert manager.run(spec) == serial_results()
         attribution = manager.attribution()
         assert attribution["w0"]["state"] == QUARANTINED
@@ -270,22 +340,35 @@ class TestFarmManager:
         assert {"farm_dispatch", "farm_shard_failed", "farm_backoff",
                 "farm_suspect", "farm_quarantine", "farm_shard_done",
                 "farm_merge"} <= kinds
+        assert farm_timeline(tracer)[:8] == [
+            (0, "farm_dispatch", "w0", 0),
+            (0, "farm_dispatch", "w1", 1),
+            (100, "farm_shard_failed", "w0", 0),
+            (100, "farm_shard_failed", "w1", 1),
+            (100, "farm_dispatch", "w0", 2),
+            (110, "farm_dispatch", "w1", 0),  # shard 0 after its backoff
+            (200, "farm_shard_failed", "w0", 2),
+            (200, "farm_quarantine", "w0", None),
+        ]
 
     def test_hung_dispatch_is_abandoned_and_redispatched(self, tmp_path):
         spec = tiny_spec(loads=(0.004, 0.006), shard_size=2)
-        workers = [
-            ChaosWorker(LocalPoolWorker("w0"),
-                        [parse_worker_fault("hang:host=w0,at=0,duration=5")]),
-            LocalPoolWorker("w1"),
-        ]
-        manager = FarmManager(
-            workers, cache=ResultCache(tmp_path / "cache"),
+        tracer = Tracer()
+        vt = VirtualTime()
+        workers = [vt.chaos("w0", "hang:host=w0,at=0,duration=5"),
+                   InProcessWorker("w1")]
+        manager = vt.manager(
+            workers, cache=ResultCache(tmp_path / "cache"), tracer=tracer,
             policy=FarmPolicy(retries=2, hang_timeout=0.2, **FAST),
         )
-        start = time.monotonic()
         assert manager.run(spec) == serial_results((0.004, 0.006))
-        assert time.monotonic() - start < 5.0  # did not wait out the hang
+        assert vt.now < 5.0  # did not wait out the hang
         assert "hang:" in manager.attribution()["w0"]["last_error"]
+        timeline = farm_timeline(tracer)
+        assert timeline[:2] == [(0, "farm_dispatch", "w0", 0),
+                                (201, "farm_shard_failed", "w0", 0)]
+        assert [k[1:] for k in timeline[2:]] == [
+            ("farm_dispatch", "w1", 0), ("farm_shard_done", "w1", 0)]
 
     def test_straggler_is_speculatively_redispatched(self, tmp_path):
         # w1 sits on its shard for 2s with no hang_timeout armed; once
@@ -293,22 +376,62 @@ class TestFarmManager:
         # idle fast host and take the first answer.
         spec = tiny_spec(loads=LOADS, shard_size=2)
         tracer = Tracer()
-        workers = [
-            LocalPoolWorker("w0"),
-            ChaosWorker(LocalPoolWorker("w1"),
-                        [parse_worker_fault("hang:host=w1,at=0,duration=2")]),
-        ]
-        manager = FarmManager(
+        vt = VirtualTime()
+        workers = [InProcessWorker("w0"),
+                   vt.chaos("w1", "hang:host=w1,at=0,duration=2")]
+        manager = vt.manager(
             workers, cache=ResultCache(tmp_path / "cache"), tracer=tracer,
             policy=FarmPolicy(retries=2, straggler_factor=2.0,
                               straggler_min=0.05, **FAST),
         )
-        start = time.monotonic()
         assert manager.run(spec) == serial_results()
-        assert time.monotonic() - start < 2.0
+        assert vt.now < 2.0
         redispatches = [p for _, kind, p in tracer.events
                         if kind == "farm_redispatch"]
         assert redispatches and redispatches[0]["straggler"] == "w1"
+        assert farm_timeline(tracer) == [
+            (0, "farm_dispatch", "w0", 0),
+            (0, "farm_dispatch", "w1", 1),
+            (100, "farm_shard_done", "w0", 0),
+            (100, "farm_dispatch", "w0", 2),
+            (200, "farm_shard_done", "w0", 2),
+            # the next heartbeat tick finds w1 past 2x the median
+            (250, "farm_redispatch", "w0", 1),
+            (250, "farm_dispatch", "w0", 1),
+            (350, "farm_shard_done", "w0", 1),
+        ]
+
+    def test_width_two_host_holds_two_dispatches_at_t0(self, tmp_path):
+        # local:2 is one host with two slots: both go out at t=0, the
+        # third point waits for a free slot.
+        tracer = Tracer()
+        vt = VirtualTime()
+        loads = LOADS[:3]
+        manager = vt.manager(parse_hosts("local:2"), tracer=tracer,
+                             cache=ResultCache(tmp_path / "cache"))
+        assert manager.run(tiny_spec(loads, shard_size=1)) \
+            == serial_results(loads)
+        dispatches = [(t, p["host"], p["shard"]) for t, kind, p
+                      in tracer.events if kind == "farm_dispatch"]
+        assert dispatches == [(0, "local0", 0), (0, "local0", 1),
+                              (100, "local0", 2)]
+
+    def test_point_failure_is_charged_to_the_point_not_the_host(self):
+        # A point that raises keeps its own exception through the retry
+        # budget; the host that ran it stays healthy.
+        spec = tiny_spec(loads=(0.004, 0.006), shard_size=1)
+        vt = VirtualTime()
+        manager = vt.manager(
+            [InProcessWorker("w0", point_fn=_boom_on_second)], cache=None,
+            policy=FarmPolicy(retries=1, **FAST),
+        )
+        with pytest.raises(SweepExecutionError) as excinfo:
+            manager.run(spec)
+        assert list(excinfo.value.failures) == [1]
+        assert isinstance(excinfo.value.failures[1][1], ValueError)
+        assert excinfo.value.attribution == {}
+        health = manager.attribution()["w0"]
+        assert health["state"] == HEALTHY and health["shards_failed"] == 0
 
     def test_resume_skips_cached_points(self, tmp_path):
         spec = tiny_spec()
@@ -329,12 +452,9 @@ class TestFarmManager:
 
     def test_exhausted_retries_report_per_host_attribution(self, tmp_path):
         spec = tiny_spec(loads=(0.004,), shard_size=1)
-        workers = [
-            ChaosWorker(LocalPoolWorker(f"w{i}"),
-                        [parse_worker_fault("crash:count=99")])
-            for i in range(2)
-        ]
-        manager = FarmManager(
+        vt = VirtualTime()
+        workers = [vt.chaos(f"w{i}", "crash:count=99") for i in range(2)]
+        manager = vt.manager(
             workers, cache=ResultCache(tmp_path / "cache"),
             policy=FarmPolicy(retries=2, **FAST),
         )
@@ -351,12 +471,10 @@ class TestFarmManager:
     def test_campaign_completes_on_survivors(self, tmp_path):
         # one permanently dead host, one healthy: graceful degradation
         spec = tiny_spec()
-        workers = [
-            ChaosWorker(LocalPoolWorker("dead"),
-                        [parse_worker_fault("crash:host=dead,at=0,count=99")]),
-            LocalPoolWorker("alive"),
-        ]
-        manager = FarmManager(
+        vt = VirtualTime()
+        workers = [vt.chaos("dead", "crash:host=dead,at=0,count=99"),
+                   InProcessWorker("alive")]
+        manager = vt.manager(
             workers, cache=ResultCache(tmp_path / "cache"),
             policy=FarmPolicy(retries=4, **FAST),
         )
@@ -381,16 +499,26 @@ class TestFarmManager:
     def test_farm_trace_exports_to_perfetto(self, tmp_path):
         spec = tiny_spec()
         tracer = Tracer()
-        workers = [
-            ChaosWorker(LocalPoolWorker("w0"),
-                        [parse_worker_fault("crash:host=w0,at=0,count=3")]),
-            LocalPoolWorker("w1"),
-        ]
-        manager = FarmManager(
+        vt = VirtualTime()
+        workers = [vt.chaos("w0", "crash:host=w0,at=0,count=3"),
+                   InProcessWorker("w1")]
+        manager = vt.manager(
             workers, cache=ResultCache(tmp_path / "cache"), tracer=tracer,
             policy=FarmPolicy(retries=4, **FAST),
         )
         manager.run(spec)
+        # w0's second consecutive crash quarantines it, on every run
+        assert farm_timeline(tracer)[:9] == [
+            (0, "farm_dispatch", "w0", 0),
+            (0, "farm_dispatch", "w1", 1),
+            (100, "farm_shard_failed", "w0", 0),
+            (100, "farm_shard_done", "w1", 1),
+            (100, "farm_dispatch", "w1", 2),
+            (110, "farm_dispatch", "w0", 0),  # only w0 is free
+            (200, "farm_shard_done", "w1", 2),
+            (210, "farm_shard_failed", "w0", 0),
+            (210, "farm_quarantine", "w0", None),
+        ]
         events = to_perfetto(tracer)["traceEvents"]
         farm = [e for e in events if e["pid"] == PID_FARM]
         # the farm process and each host got a named track
@@ -402,6 +530,14 @@ class TestFarmManager:
         # the quarantine decision is visible as an instant
         assert any(e["ph"] == "i" and e["name"] == "farm_quarantine"
                    for e in farm)
+
+
+def _boom_on_second(config, warmup, measure):
+    from repro.sim.sweep import run_point
+
+    if config.load == 0.006:
+        raise ValueError("injected point failure")
+    return run_point(config, warmup, measure)
 
 
 def _pipe_command():

@@ -7,12 +7,14 @@ import os
 import pickle
 import tempfile
 import time
-from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.config import ExecutionConfig, SimConfig
+from repro.farm import manager as farm_manager
+from repro.farm import workers as farm_workers
+from repro.farm.executor import farm_run_points, parse_hosts
 from repro.sim import parallel
 from repro.sim.parallel import (
     PointResolution,
@@ -22,6 +24,7 @@ from repro.sim.parallel import (
     run_points,
 )
 from repro.sim.sweep import run_point, run_sweep
+from repro.util.backoff import BackoffPolicy
 from repro.util.errors import LivenessError, PointTimeoutError, SweepExecutionError
 from repro.util.progress import ProgressReporter, format_eta
 
@@ -82,6 +85,20 @@ def _flaky_point(marker_dir, config, warmup, measure):
             fh.write("1")
         raise RuntimeError(f"injected crash at load {config.load}")
     return run_point(config, warmup, measure)
+
+
+def _dies_once_point(marker_dir, config, warmup, measure):
+    """Kills its own worker process on the first attempt per load."""
+    marker = os.path.join(marker_dir, f"died-{config.load}")
+    if not os.path.exists(marker):
+        with open(marker, "w") as fh:
+            fh.write("1")
+        os._exit(3)
+    return run_point(config, warmup, measure)
+
+
+def _dies_point(config, warmup, measure):
+    os._exit(3)
 
 
 def counting_fn(tmp_path, name="counter"):
@@ -343,110 +360,111 @@ class TestPointTimeout:
         assert ExecutionConfig(point_timeout=1.5).point_timeout == 1.5
 
 
-class _DyingPool:
-    """A pool whose futures all resolve as BrokenProcessPool and whose
-    context exit re-raises it — the partial-progress pool death: some
-    futures were charged through ``as_completed`` before the executor
-    itself gave up."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_exception(BrokenProcessPool("worker died"))
-        return future
-
-    def __exit__(self, *exc_info):
-        raise BrokenProcessPool("pool torn down")
-
-
 class TestBrokenPoolAccounting:
-    def test_pool_death_charges_each_point_once(self, monkeypatch):
-        """Double-charge regression: a BrokenProcessPool escaping after
-        some futures already resolved through as_completed must not
-        charge those points a second attempt — with retries=1 the next
-        round is still theirs."""
-        real_pool = parallel.ProcessPoolExecutor
-        pools = []
-
-        def factory(max_workers=None):
-            pools.append(max_workers)
-            if len(pools) == 1:
-                return _DyingPool(max_workers)
-            return real_pool(max_workers=max_workers)
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", factory)
-        monkeypatch.setattr(parallel, "_sleep", lambda seconds: None)
+    def test_pool_death_charges_each_point_once(self, tmp_path):
+        """A dying worker process is its own point's failure: charged one
+        attempt, its slot respawned — with retries=1 every point's retry
+        is still its own and the batch succeeds."""
+        marker_dir = tmp_path / "markers"
+        marker_dir.mkdir()
+        dies_once = functools.partial(_dies_once_point, str(marker_dir))
         results = run_points(tiny_configs(), WARMUP, MEASURE, workers=3,
-                             retries=1)
-        # the retry round ran on a real pool and succeeded
-        assert len(pools) == 2
+                             point_fn=dies_once, retries=1)
         assert results == run_points(tiny_configs(), WARMUP, MEASURE)
+        assert len(list(marker_dir.iterdir())) == len(LOADS)
 
-    def test_pool_death_past_the_budget_reports_failures(self, monkeypatch):
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _DyingPool)
-        monkeypatch.setattr(parallel, "_sleep", lambda seconds: None)
+    def test_pool_death_past_the_budget_reports_failures(self):
         with pytest.raises(SweepExecutionError) as excinfo:
-            run_points(tiny_configs(), WARMUP, MEASURE, workers=3, retries=1)
+            run_points(tiny_configs(), WARMUP, MEASURE, workers=3,
+                       point_fn=_dies_point, retries=1)
         assert len(excinfo.value.failures) == len(LOADS)
         assert isinstance(excinfo.value.failures[0][1], BrokenProcessPool)
 
 
+class RecordingBackoff:
+    """A backoff policy that records every delay it hands out."""
+
+    def __init__(self, policy=parallel.DEFAULT_BACKOFF):
+        self.policy = policy
+        self.calls = []
+
+    def delay(self, attempt, key=""):
+        delay = self.policy.delay(attempt, key=key)
+        self.calls.append((attempt, key, delay))
+        return delay
+
+
+#: run_points arguments selecting each local worker kind.
+WORKER_KINDS = {
+    "inprocess": dict(workers=1),
+    "pool": dict(workers=3),
+    "pool-timeout": dict(workers=3, timeout=60.0),
+}
+
+
 class TestRetryBackoff:
-    def _delays(self, monkeypatch):
-        delays = []
-        monkeypatch.setattr(parallel, "_sleep", delays.append)
-        return delays
-
-    def test_serial_retry_waits_out_the_policy(self, monkeypatch, tmp_path):
-        delays = self._delays(monkeypatch)
+    @pytest.mark.parametrize("kind", list(WORKER_KINDS))
+    def test_retry_schedule_is_per_point(self, tmp_path, kind):
+        """Every worker kind retries on the one per-point schedule:
+        ``backoff.delay(attempt, key=f"point{idx}")``."""
+        backoff = RecordingBackoff()
         marker_dir = tmp_path / "markers"
         marker_dir.mkdir()
         flaky = functools.partial(_flaky_point, str(marker_dir))
-        run_points(tiny_configs(), WARMUP, MEASURE, workers=1,
-                   point_fn=flaky, retries=1)
-        expected = [parallel.DEFAULT_BACKOFF.delay(1, key=f"point{idx}")
-                    for idx in range(len(LOADS))]
-        assert delays == expected
+        results = run_points(tiny_configs(), WARMUP, MEASURE,
+                             point_fn=flaky, retries=1, backoff=backoff,
+                             **WORKER_KINDS[kind])
+        assert results == run_points(tiny_configs(), WARMUP, MEASURE)
+        assert sorted(backoff.calls) == [
+            (1, f"point{idx}",
+             parallel.DEFAULT_BACKOFF.delay(1, key=f"point{idx}"))
+            for idx in range(len(LOADS))
+        ]
 
-    def test_parallel_retry_round_backs_off_once(self, monkeypatch, tmp_path):
-        delays = self._delays(monkeypatch)
+    def test_custom_policy_is_honoured(self, tmp_path):
+        quiet = RecordingBackoff(
+            BackoffPolicy(base=0.25, factor=2.0, cap=1.0, jitter=0.0))
         marker_dir = tmp_path / "markers"
         marker_dir.mkdir()
         flaky = functools.partial(_flaky_point, str(marker_dir))
-        run_points(tiny_configs(), WARMUP, MEASURE, workers=3,
-                   point_fn=flaky, retries=1)
-        assert delays == [parallel.DEFAULT_BACKOFF.delay(1, key="round")]
-
-    def test_timed_waves_back_off_between_retries(self, monkeypatch, tmp_path):
-        delays = self._delays(monkeypatch)
-        marker_dir = tmp_path / "markers"
-        marker_dir.mkdir()
-        flaky = functools.partial(_flaky_point, str(marker_dir))
-        run_points(tiny_configs(), WARMUP, MEASURE, workers=3,
-                   point_fn=flaky, retries=1, timeout=60.0)
-        assert delays == [parallel.DEFAULT_BACKOFF.delay(1, key="wave")]
-
-    def test_custom_policy_is_honoured(self, monkeypatch, tmp_path):
-        from repro.util.backoff import BackoffPolicy
-
-        delays = self._delays(monkeypatch)
-        marker_dir = tmp_path / "markers"
-        marker_dir.mkdir()
-        flaky = functools.partial(_flaky_point, str(marker_dir))
-        quiet = BackoffPolicy(base=0.25, factor=2.0, cap=1.0, jitter=0.0)
         run_points(tiny_configs(), WARMUP, MEASURE, workers=1,
                    point_fn=flaky, retries=1, backoff=quiet)
-        assert delays == [0.25] * len(LOADS)
+        assert [delay for _, _, delay in quiet.calls] == [0.25] * len(LOADS)
 
-    def test_successful_run_never_sleeps(self, monkeypatch):
-        delays = self._delays(monkeypatch)
-        run_points(tiny_configs(), WARMUP, MEASURE, workers=1)
-        assert delays == []
+    def test_successful_run_never_sleeps(self):
+        backoff = RecordingBackoff()
+        run_points(tiny_configs(), WARMUP, MEASURE, workers=1,
+                   backoff=backoff)
+        assert backoff.calls == []
+
+
+class TestWarmRun:
+    def test_warm_run_computes_each_key_once_and_no_executor(
+            self, tmp_path, monkeypatch):
+        configs = tiny_configs()
+        cache = ResultCache(tmp_path / "cache")
+        first = run_points(configs, WARMUP, MEASURE, workers=4, cache=cache)
+        calls = []
+        real_key = parallel.point_key
+
+        def counting_key(*args, **kwargs):
+            calls.append(args[0])
+            return real_key(*args, **kwargs)
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("a warm run built an executor")
+
+        monkeypatch.setattr(parallel, "point_key", counting_key)
+        monkeypatch.setattr(farm_workers, "ProcessPoolExecutor", no_executor)
+        monkeypatch.setattr(farm_manager, "ThreadPoolExecutor", no_executor)
+        assert run_points(configs, WARMUP, MEASURE, workers=4,
+                          cache=cache) == first
+        assert calls == configs
+        # the farm path resolves the same way: one key per point
+        calls.clear()
+        assert farm_run_points(configs, WARMUP, MEASURE,
+                               parse_hosts("local:2"), cache=cache) == first
+        assert calls == configs
 
 
 def _picky_point(config, warmup, measure):

@@ -302,6 +302,31 @@ class TestJobManager:
         assert samples, "traced execution must stream time series"
         assert all("cycle" in s and "live_messages" in s for s in samples)
 
+    @pytest.mark.parametrize("backend", [
+        dict(), dict(workers=2), dict(farm_hosts="local:2"),
+    ], ids=["traced", "pool", "farm"])
+    def test_every_path_streams_one_progress_schema(self, tmp_path, backend):
+        spec = tiny_campaign(points=3)
+
+        async def body(manager):
+            job, _ = manager.submit(spec)
+            sub = manager.broker.subscribe(job.id)
+            await self._wait_done(manager, job)
+            assert job.state == "done"
+            return job.results, [(e, d) async for _, e, d in sub]
+
+        results, events = self.run_manager(tmp_path, body, **backend)
+        assert results == run_points(list(spec.configs), spec.warmup,
+                                     spec.measure)
+        progress = [d for e, d in events if e == "progress"]
+        assert [d["done"] for d in progress] == [1, 2, 3]
+        assert sorted(d["point"] for d in progress) == [0, 1, 2]
+        assert all(d["total"] == 3 and d["cached"] is False
+                   for d in progress)
+        for d in progress:
+            assert d["load"] == spec.configs[d["point"]].load
+            assert d["elapsed_ms"] > 0  # measured per point, every path
+
     def test_perfetto_trace_written_and_valid(self, tmp_path):
         spec = tiny_campaign(points=2)
 
