@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +40,13 @@ _txn_uid = itertools.count()
 @functools.lru_cache(maxsize=None)
 def _length_sampler(
     length_probs: tuple[tuple[int, float], ...],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[int], list[float]]:
     """Chain lengths and their normalized CDF, computed once per pattern."""
-    lengths = np.asarray([length for length, _ in length_probs])
+    lengths = [length for length, _ in length_probs]
     p = np.asarray([p for _, p in length_probs], dtype=np.float64)
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return lengths, cdf
+    return lengths, cdf.tolist()
 
 
 @dataclass(frozen=True)
@@ -158,15 +159,17 @@ class TransactionPattern:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def sample_chain_length(self, rng: np.random.Generator) -> int:
+    def sample_chain_length(self, rng) -> int:
+        """One chain length from ``rng.random()`` (a ``Generator`` or a
+        :class:`~repro.util.rng.RawReplay`)."""
         # Equivalent to ``rng.choice(lengths, p=probs)`` but with the CDF
         # cached across calls: choice() revalidates and re-normalizes the
         # probability vector on every draw, which dominated traffic
-        # generation.  The single uniform draw and the searchsorted lookup
-        # mirror choice()'s internals, so the RNG stream and the sampled
-        # values are unchanged.
+        # generation.  The single uniform draw and the right-bisection
+        # (searchsorted side="right") mirror choice()'s internals, so the
+        # RNG stream and the sampled values are unchanged.
         lengths, cdf = _length_sampler(self.length_probs)
-        return int(lengths[cdf.searchsorted(rng.random(), side="right")])
+        return lengths[bisect_right(cdf, rng.random())]
 
     def build_transaction(
         self,

@@ -70,10 +70,15 @@ def set_default_execution(execution: ExecutionConfig) -> ExecutionConfig:
 
 @lru_cache(maxsize=1)
 def code_version() -> str:
-    """Digest of the ``repro`` package sources, for cache invalidation."""
+    """Digest of the ``repro`` package sources, for cache invalidation.
+
+    Covers every ``*.py`` file and the vector kernel's C source, never
+    the compiled objects under ``_build/`` (they follow from the source).
+    """
     root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    sources = [*root.rglob("*.py"), *root.rglob("*.c")]
+    for path in sorted(p for p in sources if "_build" not in p.relative_to(root).parts):
         digest.update(str(path.relative_to(root)).encode("utf-8"))
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]

@@ -41,6 +41,7 @@ never a silent no-op.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import compress
 
 from repro.config import SimConfig
 from repro.endpoint.interface import NetworkInterface
@@ -296,6 +297,7 @@ class VectorEngine(Engine):
         self._due = bytearray(N)
         self._due_next = bytearray(N)
         self._zero = bytes(N)
+        self._nodes = range(N)
         self._ni_phase = False
         self._ni_current = -1
         #: node whose own NI step is in progress (notify wake filter).
@@ -418,11 +420,12 @@ class VectorEngine(Engine):
         self._ni_phase = True
         interfaces = self.interfaces
         suppress = self._suppress
-        for node, flag in enumerate(due):
-            if flag:
-                self._ni_current = node
-                suppress[0] = node
-                self._step_node(interfaces[node], node, now)
+        # compress reads ``due`` lazily, so a same-sweep wake of a later
+        # node (on_transaction_complete) is still visited.
+        for node in compress(self._nodes, due):
+            self._ni_current = node
+            suppress[0] = node
+            self._step_node(interfaces[node], node, now)
         suppress[0] = -1
         self._ni_phase = False
         self.fabric.step(now)

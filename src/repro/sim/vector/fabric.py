@@ -65,6 +65,10 @@ EV_CLAIM = 1
 EV_DELIVER = 2
 EV_INJDONE = 3
 
+# k_step / k_finish codes below zero (must match kernel.c).
+STEP_ROUTE_MISS = -1
+STEP_EV_OVERFLOW = -2
+
 #: Routing-memo keys are densely indexed; refuse configurations whose
 #: key space would not fit comfortably in memory (4 bytes per key).
 _MAX_ROUTE_KEYS = 8 << 20
@@ -428,16 +432,23 @@ class VectorFabric:
     # Cycle
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
+        evn = self._lib.k_step(self._k, now)
+        if evn == STEP_ROUTE_MISS:
+            evn = self._resume_after_miss(now)
+        if evn == STEP_EV_OVERFLOW:  # pragma: no cover - sized generously
+            raise SimulationError("kernel event buffer overflow")
+        if evn:
+            self._drain_events(now, evn)
+
+    def _resume_after_miss(self, now: int) -> int:
+        """Fill missing route rows until allocation completes, then run
+        the link phase; returns ``k_finish``'s code."""
         lib, k = self._lib, self._k
-        lib.k_eject(k, now)
-        ret = lib.k_alloc(k, now, 0)
+        ret = 2
         while ret == 2:
             self._fill_missing_row()
             ret = lib.k_alloc(k, now, int(self._hdr[H_MISS_IDX]))
-        lib.k_links(k, now)
-        if self._hdr[H_EV_OVF]:  # pragma: no cover - sized generously
-            raise SimulationError("kernel event buffer overflow")
-        self._drain_events(now)
+        return lib.k_finish(k, now)
 
     def _fill_missing_row(self) -> None:
         hdr = self._hdr
@@ -470,17 +481,11 @@ class VectorFabric:
         self._rk_idx[key] = self._row_count
         self._row_count += 1
 
-    def _drain_events(self, now: int) -> None:
-        hdr = self._hdr
-        evn = int(hdr[H_EVN])
-        if evn == 0:
-            return
-        ev = self._ev
+    def _drain_events(self, now: int, evn: int) -> None:
         vids = self._vids
         NVC = self.NVC
-        for i in range(0, 3 * evn, 3):
-            etype = ev[i]
-            vid = ev[i + 1]
+        ev = iter(self._ev[: 3 * evn].tolist())
+        for etype, vid, sid in zip(ev, ev, ev):
             msg = vids[vid]
             if etype == EV_CLAIM:
                 # The kernel already claimed against the slot mirror;
@@ -493,20 +498,18 @@ class VectorFabric:
                 msg.blocked_since = -1
             elif etype == EV_DELIVER:
                 msg.flits_ejected = int(self._m_ejected[vid])
-                sid = int(ev[i + 2])
                 if sid >= NVC:  # direct local delivery: free the injector
                     chan = self._inj_by_sid[sid]
                     chan.owner = None
                     if self.wake_node is not None:
                         self.wake_node(chan.node)
-                self._free_vid(int(vid))
+                self._free_vid(vid)
                 self._deliver_hooks[msg.dst](msg, now)
             else:  # EV_INJDONE: tail left the injection channel
-                chan = self._inj_by_sid[int(ev[i + 2])]
+                chan = self._inj_by_sid[sid]
                 chan.owner = None
                 if self.wake_node is not None:
                     self.wake_node(chan.node)
-        hdr[H_EVN] = 0
 
     def _free_vid(self, vid: int) -> None:
         self._vids[vid] = None

@@ -21,10 +21,12 @@
  * reference fabric performs inline (deliveries precede claims precede
  * link events in the buffer, matching the reference phase order).
  *
+ * k_step runs the three phases in one call and returns the event count.
  * Route rows are filled lazily: a missing (router, dst_router, class,
- * dateline-mask) key suspends k_alloc (return 2) with the miss details
- * in the header; Python computes the row (network/soa.py), stores it,
- * and resumes.
+ * dateline-mask) key suspends allocation (k_step returns STEP_ROUTE_MISS,
+ * k_alloc returns 2) with the miss details in the header; Python
+ * computes the row (network/soa.py), stores it, resumes k_alloc and
+ * finishes the cycle with k_finish.
  */
 
 #include <stdint.h>
@@ -55,6 +57,10 @@
 #define EV_CLAIM 1
 #define EV_DELIVER 2
 #define EV_INJDONE 3
+
+/* k_step / k_finish codes below zero */
+#define STEP_ROUTE_MISS -1
+#define STEP_EV_OVERFLOW -2
 
 typedef struct {
     /* dims */
@@ -170,7 +176,7 @@ void k_set_rows_ptr(void *h, int64_t ptr)
  * Phase 1: ejection — one flit per active port, node-ascending.
  * Mirrors Fabric._phase_eject + EjectionPort.step.
  * ------------------------------------------------------------------ */
-void k_eject(void *h, int32_t now)
+static void k_eject(void *h, int32_t now)
 {
     KState *k = (KState *)h;
     const int32_t NVC = k->NVC, D = k->D, EPCAP = k->EPCAP;
@@ -337,7 +343,7 @@ int32_t k_alloc(void *h, int32_t now, int32_t resume)
  * Phase 3: link traversal — one flit per busy link, round-robin.
  * Mirrors Fabric._phase_links.
  * ------------------------------------------------------------------ */
-void k_links(void *h, int32_t now)
+static void k_links(void *h, int32_t now)
 {
     KState *k = (KState *)h;
     const int32_t NVC = k->NVC, V = k->V, D = k->D, C = k->C;
@@ -449,6 +455,30 @@ void k_links(void *h, int32_t now)
             k->busy_order[w++] = k->busy_order[b];
         k->hdr[H_BUSYN] = w;
     }
+}
+
+/* --------------------------------------------------------------------
+ * Whole cycle.
+ * ------------------------------------------------------------------ */
+
+/* Link phase, then the cycle's event count (or STEP_EV_OVERFLOW). */
+int32_t k_finish(void *h, int32_t now)
+{
+    KState *k = (KState *)h;
+    k_links(h, now);
+    return k->hdr[H_EV_OVF] ? STEP_EV_OVERFLOW : k->hdr[H_EVN];
+}
+
+/* Eject, allocate and link in one call; returns the event count, or
+ * STEP_ROUTE_MISS with allocation suspended (see the header comment). */
+int32_t k_step(void *h, int32_t now)
+{
+    KState *k = (KState *)h;
+    k->hdr[H_EVN] = 0;
+    k_eject(h, now);
+    if (k_alloc(h, now, 0) == 2)
+        return STEP_ROUTE_MISS;
+    return k_finish(h, now);
 }
 
 /* --------------------------------------------------------------------

@@ -76,12 +76,12 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.k_free.restype = None
     lib.k_set_rows_ptr.argtypes = [p, i64]
     lib.k_set_rows_ptr.restype = None
-    lib.k_eject.argtypes = [p, i32]
-    lib.k_eject.restype = None
     lib.k_alloc.argtypes = [p, i32, i32]
     lib.k_alloc.restype = i32
-    lib.k_links.argtypes = [p, i32]
-    lib.k_links.restype = None
+    lib.k_finish.argtypes = [p, i32]
+    lib.k_finish.restype = i32
+    lib.k_step.argtypes = [p, i32]
+    lib.k_step.restype = i32
     lib.k_longest_blocked.argtypes = [p, i32, i32, i32]
     lib.k_longest_blocked.restype = i32
     lib.k_detach.argtypes = [p, i32]

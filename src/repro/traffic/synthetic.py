@@ -6,14 +6,18 @@ load (requests/node/cycle); destinations (home nodes) are uniformly
 random, as is the third-party owner/sharer node used by chains of length
 three or more.  All subordinate message types are generated automatically
 when messages are serviced at end nodes, exactly as in FlexSim.
+
+Draws come from a :class:`~repro.util.rng.RawReplay` of the
+``"traffic"`` substream: the same values, in the same order, as the
+``Generator`` calls ``random(n)`` once per cycle, then per hit
+``integers``/``random()`` for home, chain length and third party.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.protocol.transactions import TransactionPattern
-from repro.util.rng import make_rng
+from repro.util.errors import ConfigurationError
+from repro.util.rng import RawReplay, make_rng
 
 
 class SyntheticTraffic:
@@ -22,34 +26,43 @@ class SyntheticTraffic:
     def __init__(self, pattern: TransactionPattern, load: float, seed: int) -> None:
         self.pattern = pattern
         self.load = load
-        self.rng = make_rng(seed, "traffic")
+        self._draws = RawReplay(make_rng(seed, "traffic"))
         self.engine = None
         self.transactions: list = []
         self.generated = 0
 
     def attach(self, engine) -> None:
         self.engine = engine
-        self._num_nodes = engine.topology.num_nodes
+        n = self._num_nodes = engine.topology.num_nodes
+        if self.load > 0.0:
+            # A home distinct from the requester needs 2 nodes; a third
+            # party distinct from both needs 3.
+            longest = max(length for length, p in self.pattern.length_probs if p > 0.0)
+            needed = 3 if longest >= 3 else 2
+            if n < needed:
+                raise ConfigurationError(
+                    f"{self.pattern.name} traffic at load {self.load} needs at "
+                    f"least {needed} nodes; the network has {n}"
+                )
 
     def step(self, now: int) -> None:
         if self.load <= 0.0:
             return
-        hits = np.flatnonzero(self.rng.random(self._num_nodes) < self.load)
-        for node in hits:
-            self._generate(int(node), now)
+        for node in self._draws.hits(self._num_nodes, self.load):
+            self._generate(node, now)
 
     def _generate(self, node: int, now: int) -> None:
         n = self._num_nodes
-        rng = self.rng
-        home = int(rng.integers(0, n - 1))
+        draws = self._draws
+        home = draws.integers(0, n - 1)
         if home >= node:
             home += 1
-        length = self.pattern.sample_chain_length(rng)
+        length = self.pattern.sample_chain_length(draws)
         third = node
         if length >= 3:
             # A third party distinct from requester and home.
             while third == node or third == home:
-                third = int(rng.integers(0, n))
+                third = draws.integers(0, n)
         txn = self.pattern.build_transaction(
             requester=node, home=home, third=third, created_cycle=now, length=length
         )

@@ -4,6 +4,7 @@ import pytest
 
 from repro import SimConfig
 from repro.sim.engine import Engine
+from repro.sim.vector import VectorEngine
 from repro.util.errors import ConfigurationError
 from tests.helpers import build_engine
 
@@ -23,6 +24,20 @@ class TestConstruction:
     def test_interfaces_one_per_node(self):
         e = build_engine(scheme="PR", dims=(2, 4), bristling=2)
         assert len(e.interfaces) == 16
+
+    # Built only, never stepped: before the check these configurations
+    # hung in the third-party draw loop or failed at the first arrival.
+    def test_chains_of_three_need_three_nodes(self):
+        with pytest.raises(ConfigurationError, match="at least 3 nodes"):
+            build_engine(dims=(2, 1), pattern="PAT721", load=0.5)
+
+    def test_one_node_cannot_pick_a_home(self):
+        with pytest.raises(ConfigurationError, match="at least 2 nodes"):
+            build_engine(dims=(1, 1), pattern="PAT100", load=0.5)
+
+    def test_small_networks_build_when_traffic_fits(self):
+        assert build_engine(dims=(2, 1), pattern="PAT100", load=0.5).topology.num_nodes == 2
+        assert build_engine(dims=(2, 1), pattern="PAT721", load=0.0).topology.num_nodes == 2
 
 
 @pytest.mark.parametrize(
@@ -182,3 +197,31 @@ class TestTraceQuiesce:
         e = self._engine([(1, 0, 5)])
         e.run(2)  # root admitted, flits in the network
         assert not e._empty()
+
+
+class TestVectorGating:
+    def test_same_sweep_wake_is_stepped_this_cycle(self):
+        """A transaction completing during node 2's step frees an MSHR at
+        node 9 (still ahead in the sweep) and node 1 (already passed): the
+        reference's unconditional sweep lets node 9 react this cycle and
+        node 1 next cycle, so the gated sweep must too."""
+        engine = VectorEngine(SimConfig(dims=(4, 4), load=0.0))
+        engine.run(2)  # construction wakes every node once
+        stepped = []
+        step_node = engine._step_node
+
+        def recording_step(ni, node, now):
+            stepped.append((now, node))
+            step_node(ni, node, now)
+            if node == 2:
+                for other in (9, 1):
+                    engine.interfaces[other].outstanding += 1
+                    engine.interfaces[other].on_transaction_complete()
+
+        engine._step_node = recording_step
+        engine._due_next[2] = 1
+        engine.step()
+        assert stepped == [(3, 2), (3, 9)]
+        engine.step()
+        assert (4, 1) in stepped
+

@@ -6,6 +6,8 @@ assertions are deliberately coarse (orderings and large margins, not
 absolute values).
 """
 
+import pytest
+
 from repro import SimConfig
 from repro.core.token import Token
 from repro.sim.sweep import run_point
@@ -54,6 +56,24 @@ class TestStressBehaviour:
         assert deflected
         for txn in deflected:
             assert txn.messages_used == txn.chain_length + txn.deflections
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="DR wedge: with every reply input queue fully reserved "
+        "(max_outstanding == queue_capacity) service heads stall on "
+        "reservations while the request out-queue is not full, so DR's "
+        "condition 1 never holds and the run stops delivering undetected",
+    )
+    def test_dr_keeps_delivering_or_detects(self):
+        e = build_engine(scheme="DR", pattern="PAT271", num_vcs=4,
+                         load=0.022, seed=2)
+        e.run(3000)
+        delivered = e.stats.total.messages_delivered
+        e.run(2000)
+        assert (e.stats.total.messages_delivered > delivered
+                or e.scheme.deadlocks_detected > 0)
 
 
 class TestPaperShapes:

@@ -193,6 +193,35 @@ class TestResultCache:
                    point_fn=counting)
         assert len(list(counter_dir.iterdir())) == 2 * len(LOADS)
 
+    def test_code_version_covers_kernel_source_not_build(self, tmp_path, monkeypatch):
+        """Editing the vector kernel's C source invalidates cached
+        results; compiled objects under ``_build/`` do not."""
+        import repro
+
+        pkg = tmp_path / "repro"
+        vector = pkg / "sim" / "vector"
+        vector.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("", "utf-8")
+        kernel = vector / "kernel.c"
+        kernel.write_text("int k_step(void) { return 0; }\n", "utf-8")
+        monkeypatch.setattr(repro, "__file__", str(pkg / "__init__.py"))
+
+        def version() -> str:
+            parallel.code_version.cache_clear()
+            return parallel.code_version()
+
+        try:
+            base = version()
+            (vector / "_build").mkdir()
+            (vector / "_build" / "kernel-0.so").write_bytes(b"\x7fELF")
+            (vector / "_build" / "stale.c").write_text("junk", "utf-8")
+            assert version() == base
+            kernel.write_text("int k_step(void) { return 1; }\n", "utf-8")
+            assert version() != base
+        finally:
+            monkeypatch.undo()
+            parallel.code_version.cache_clear()
+
     def test_corrupt_entry_is_a_miss_and_repaired(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         [result] = run_points([tiny_config()], WARMUP, MEASURE, cache=cache)
