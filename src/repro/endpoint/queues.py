@@ -28,8 +28,7 @@ from repro.util.errors import SimulationError
 class MessageQueue:
     """A bounded FIFO of messages with held/reserved slot accounting."""
 
-    __slots__ = ("capacity", "entries", "held", "reserved", "version",
-                 "notify")
+    __slots__ = ("capacity", "entries", "held", "reserved", "version")
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
@@ -40,11 +39,6 @@ class MessageQueue:
         self.reserved = 0
         #: Bumped on every push/pop; lets detectors observe progress.
         self.version = 0
-        #: Optional hook called after *any* change to entries/held/
-        #: reserved (not just version bumps).  The vector backend uses it
-        #: to keep its kernel-side slot mirror and its lazy detector bank
-        #: in sync; None (the default) costs one branch per mutation.
-        self.notify = None
 
     # -- capacity -------------------------------------------------------
     @property
@@ -71,13 +65,9 @@ class MessageQueue:
         if msg.has_reservation and self.reserved > 0:
             self.reserved -= 1
             self.held += 1
-            if self.notify is not None:
-                self.notify()
             return True
         if self.free_slots > 0:
             self.held += 1
-            if self.notify is not None:
-                self.notify()
             return True
         return False
 
@@ -88,8 +78,6 @@ class MessageQueue:
         self.held -= 1
         self.entries.append(msg)
         self.version += 1
-        if self.notify is not None:
-            self.notify()
 
     # -- reply reservations (MSHR preallocation) -------------------------
     def try_reserve_reply(self, extra: int = 0) -> bool:
@@ -102,8 +90,6 @@ class MessageQueue:
         """
         if self.free_slots + extra > 0:
             self.reserved += 1
-            if self.notify is not None:
-                self.notify()
             return True
         return False
 
@@ -111,8 +97,6 @@ class MessageQueue:
         if self.reserved <= 0:  # pragma: no cover - guarded
             raise SimulationError("releasing a reservation that was never made")
         self.reserved -= 1
-        if self.notify is not None:
-            self.notify()
 
     # -- plain queue ops --------------------------------------------------
     def push(self, msg: Message) -> None:
@@ -121,8 +105,6 @@ class MessageQueue:
             raise SimulationError("push into a full queue")
         self.entries.append(msg)
         self.version += 1
-        if self.notify is not None:
-            self.notify()
 
     def push_held(self, msg: Message) -> None:
         """Convert a previously held output slot into a queued message."""
@@ -131,8 +113,6 @@ class MessageQueue:
         self.held -= 1
         self.entries.append(msg)
         self.version += 1
-        if self.notify is not None:
-            self.notify()
 
     def hold_slot(self) -> bool:
         """Claim a slot for a message that will be produced shortly.
@@ -143,8 +123,6 @@ class MessageQueue:
         """
         if self.free_slots > 0:
             self.held += 1
-            if self.notify is not None:
-                self.notify()
             return True
         return False
 
@@ -152,18 +130,13 @@ class MessageQueue:
         if self.held <= 0:  # pragma: no cover - guarded
             raise SimulationError("releasing a held slot that was never held")
         self.held -= 1
-        if self.notify is not None:
-            self.notify()
 
     def peek(self) -> Message | None:
         return self.entries[0] if self.entries else None
 
     def pop(self) -> Message:
         self.version += 1
-        msg = self.entries.popleft()
-        if self.notify is not None:
-            self.notify()
-        return msg
+        return self.entries.popleft()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -182,6 +155,14 @@ class QueueBank:
 
     def __init__(self, num_classes: int, capacity: int) -> None:
         self.queues = [MessageQueue(capacity) for _ in range(num_classes)]
+
+    @classmethod
+    def of(cls, queues: list) -> "QueueBank":
+        """A bank over existing queue objects (the vector backend's
+        array views)."""
+        bank = cls.__new__(cls)
+        bank.queues = queues
+        return bank
 
     def queue(self, cls: int) -> MessageQueue:
         return self.queues[cls]

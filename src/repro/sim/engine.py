@@ -26,10 +26,6 @@ from repro.util.errors import ConfigurationError
 class Engine:
     """One simulated network plus endpoints under one scheme."""
 
-    #: NI implementation; the vector backend substitutes a subclass that
-    #: reports endpoint activity to its event scheduler.
-    interface_class = NetworkInterface
-
     def __init__(
         self,
         config: SimConfig,
@@ -72,19 +68,8 @@ class Engine:
             config, self.topology, protocol, types_used, couplings
         )
         self.fabric = self._build_fabric(config)
-        self.stats = SimStats(self)
-        self.interfaces = [
-            type(self).interface_class(
-                node,
-                self.fabric,
-                self.scheme,
-                self.stats,
-                queue_capacity=config.queue_capacity,
-                num_queue_classes=self.scheme.num_queue_classes,
-                max_outstanding=config.max_outstanding,
-            )
-            for node in range(self.topology.num_nodes)
-        ]
+        self.stats = self._build_stats()
+        self.interfaces = self._build_interfaces(config)
         self.scheme.attach(self)
         self.traffic.attach(self)
         self.now = 0
@@ -192,14 +177,31 @@ class Engine:
             if saved_load is not None:
                 self.traffic.load = saved_load
 
+    # Construction hooks; the vector backend overrides all three.
     def _build_fabric(self, config: SimConfig) -> Fabric:
-        """Fabric factory; the vector backend overrides this."""
         return Fabric(
             self.topology,
             config.num_vcs,
             config.flit_buffer_depth,
             self.scheme.routing,
         )
+
+    def _build_stats(self) -> SimStats:
+        return SimStats(self)
+
+    def _build_interfaces(self, config: SimConfig) -> list[NetworkInterface]:
+        return [
+            NetworkInterface(
+                node,
+                self.fabric,
+                self.scheme,
+                self.stats,
+                queue_capacity=config.queue_capacity,
+                num_queue_classes=self.scheme.num_queue_classes,
+                max_outstanding=config.max_outstanding,
+            )
+            for node in range(self.topology.num_nodes)
+        ]
 
     def _empty(self) -> bool:
         if self.fabric.occupancy() > 0 or self.fabric.pending:
@@ -212,6 +214,9 @@ class Engine:
         for chan in self.fabric._inj_channels.values():
             if chan.owner is not None:
                 return False
+        return self._scheme_and_traffic_idle()
+
+    def _scheme_and_traffic_idle(self) -> bool:
         controller = getattr(self.scheme, "controller", None)
         if controller is not None and getattr(controller, "phase", "idle") != "idle":
             return False  # a progressive rescue is still in flight

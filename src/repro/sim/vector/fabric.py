@@ -1,77 +1,43 @@
-"""Struct-of-arrays fabric: numpy state advanced by the C kernel.
+"""Struct-of-arrays fabric: the network phases of the C kernel.
 
 :class:`VectorFabric` is a drop-in replacement for
 :class:`repro.network.fabric.Fabric`.  All per-channel and per-message
-network state lives in flat ``int32`` numpy arrays shared with the
-compiled kernel (:mod:`repro.sim.vector.kernel`); the three cycle phases
-run entirely in C, and endpoint interactions come back as an event
-buffer that Python drains in exactly the order the reference fabric
-would have made the equivalent calls — which is what keeps the two
-backends bit-identical, floating-point accumulation order included.
+network state lives in the flat numpy arrays of
+:class:`~repro.sim.vector.state.VectorState`, and ``step`` is one kernel
+call (``k_step``) that runs ejection, allocation and link traversal in
+the reference order.  Delivery-slot claims and deliveries read and
+write the NI input queues' arrays directly, so no endpoint work comes
+back to Python.
 
 Id spaces
 ---------
 * virtual channel / sender id ``c`` in ``[0, NVC)`` with
   ``NVC = links * num_vcs``; ``c = lid * num_vcs + index``.
 * injection sender id ``NVC + node * C + cls`` (``C`` queue classes).
-* message slot ("vid"): dense handle into the ``m_*`` arrays; capacity
-  ``NVC + N*C + 8`` because every live packet holds at least one sender.
-
-The endpoint slot mirror (``qm_free``/``qm_res``) lets the kernel decide
-delivery-slot claims without calling into Python; the engine installs a
-``notify`` hook on every NI input queue that rewrites the mirror after
-any mutation, so the kernel's view is exact at every phase boundary.
+* a packet's owner is its message slot in the state's ``m_*`` arrays.
 
 Recovery schemes see the fabric through thin handle objects
 (:class:`VecVC`, :class:`VecInjChannel`) that satisfy the sender
 interface of :mod:`repro.network.channel`, so the unmodified scheme
 controllers (including progressive recovery's lane) work against the
-array state.
+array state.  A captured packet leaves the arrays when the lane has
+pulled its tail (``release``): from then on Python owns the message.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.network.soa import TopologySoA, build_route_table
-from repro.network.topology import Topology
 from repro.protocol.message import Message
-from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.errors import SimulationError
 
-from repro.sim.vector.kernel import load_kernel
-
-# Header cells (must match kernel.c).
-H_PN = 0
-H_EVN = 1
-H_OCC = 2
-H_BUSYN = 3
-H_MISS_IDX = 4
-H_MISS_SID = 5
-H_MISS_R = 6
-H_MISS_DSTR = 7
-H_MISS_CLS = 8
-H_MISS_MASK = 9
-H_SN = 10
-H_EV_OVF = 11
-
-# int64 counters (must match kernel.c).
-C_FORWARDED = 0
-C_INJECTED = 1
-C_EJECTED = 2
-C_ALLOCFAIL = 3
-
-# Event types (must match kernel.c).
-EV_CLAIM = 1
-EV_DELIVER = 2
-EV_INJDONE = 3
-
-# k_step / k_finish codes below zero (must match kernel.c).
-STEP_ROUTE_MISS = -1
-STEP_EV_OVERFLOW = -2
-
-#: Routing-memo keys are densely indexed; refuse configurations whose
-#: key space would not fit comfortably in memory (4 bytes per key).
-_MAX_ROUTE_KEYS = 8 << 20
+from repro.sim.vector.state import (
+    C_ALLOCFAIL,
+    C_EJECTED,
+    C_FORWARDED,
+    C_INJECTED,
+    H_OCC,
+    H_PN,
+    VectorState,
+)
 
 #: Sentinel returned by handle ``next_sink`` for routed senders; only
 #: ``is None`` tests are ever performed on it (and it is always truthy).
@@ -86,462 +52,175 @@ class VecVC:
     sees them next cycle.
     """
 
-    __slots__ = ("fabric", "sid", "router")
+    __slots__ = ("st", "sid", "router")
 
     is_injection = False
 
-    def __init__(self, fabric: "VectorFabric", sid: int) -> None:
-        self.fabric = fabric
+    def __init__(self, st: VectorState, sid: int) -> None:
+        self.st = st
         self.sid = sid
-        self.router = int(fabric.soa.vc_router[sid])
+        self.router = int(st.s_router[sid])
 
     @property
     def owner(self) -> Message | None:
-        vid = self.fabric._s_owner[self.sid]
-        return None if vid < 0 else self.fabric._vids[vid]
+        e = self.st.s_owner[self.sid]
+        return None if e < 0 else self.st.message(e)
 
     @property
     def next_sink(self):
-        return None if self.fabric._s_sink[self.sid] < 0 else _ROUTED
+        return None if self.st.s_sink[self.sid] < 0 else _ROUTED
 
     # -- sender interface (recovery lane) -------------------------------
     def ready_flit(self, now: int) -> int | None:
-        f = self.fabric
+        st = self.st
         sid = self.sid
-        if f._v_count[sid] == 0:
+        if st.v_count[sid] == 0:
             return None
-        p = sid * f.D + f._v_hp[sid]
-        if f._v_arr[p] >= now:
+        p = sid * st.D + st.v_hp[sid]
+        if st.v_arr[p] >= now:
             return None
-        return int(f._v_flit[p])
+        return int(st.v_flit[p])
 
     def pop_flit(self) -> int:
-        f = self.fabric
+        st = self.st
         sid = self.sid
-        hp = int(f._v_hp[sid])
-        flit = int(f._v_flit[sid * f.D + hp])
-        f._v_hp[sid] = 0 if hp + 1 == f.D else hp + 1
-        f._v_count[sid] -= 1
-        f._hdr[H_OCC] -= 1
+        hp = int(st.v_hp[sid])
+        flit = int(st.v_flit[sid * st.D + hp])
+        st.v_hp[sid] = 0 if hp + 1 == st.D else hp + 1
+        st.v_count[sid] -= 1
+        st.hdr[H_OCC] -= 1
         return flit
 
     def release(self) -> None:
-        f = self.fabric
+        st = self.st
         sid = self.sid
-        if f._v_count[sid] != 0:  # pragma: no cover - guarded by callers
+        if st.v_count[sid] != 0:  # pragma: no cover - guarded by callers
             raise SimulationError(f"releasing non-empty VC sid={sid}")
-        vid = int(f._s_owner[sid])
-        f._s_owner[sid] = -1
-        f._s_sink[sid] = -1
-        if vid >= 0:
-            f._free_vid(vid)
+        _release(st, sid)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        o = self.owner
         return (
-            f"VecVC(sid={self.sid} owner={o.uid if o else '-'} "
-            f"occ={int(self.fabric._v_count[self.sid])})"
+            f"VecVC(sid={self.sid} owner={int(self.st.s_owner[self.sid])} "
+            f"occ={int(self.st.v_count[self.sid])})"
         )
 
 
 class VecInjChannel:
     """Per-(node, class) injection channel over the array state.
 
-    ``owner`` is a plain Python attribute — every transition (load,
-    tail departure, direct delivery, rescue release) passes through
-    Python, so no array lookup is needed on the per-cycle NI reload
-    check.
+    Flit progress lives in the owner's ``m_sent`` slot, so it stays
+    coherent with the kernel's streaming.
     """
 
-    __slots__ = ("fabric", "sid", "node", "router", "vc_class", "owner")
+    __slots__ = ("st", "sid", "node", "router", "vc_class")
 
     is_injection = True
 
-    def __init__(
-        self, fabric: "VectorFabric", sid: int, node: int, router: int,
-        vc_class: int,
-    ) -> None:
-        self.fabric = fabric
+    def __init__(self, st: VectorState, sid: int, node: int, vc_class: int) -> None:
+        self.st = st
         self.sid = sid
         self.node = node
-        self.router = router
+        self.router = int(st.s_router[sid])
         self.vc_class = vc_class
-        self.owner: Message | None = None
+
+    @property
+    def owner(self) -> Message | None:
+        e = self.st.s_owner[self.sid]
+        return None if e < 0 else self.st.message(e)
 
     @property
     def idle(self) -> bool:
-        return self.owner is None
+        return self.st.s_owner[self.sid] < 0
 
     @property
     def next_sink(self):
-        return None if self.fabric._s_sink[self.sid] < 0 else _ROUTED
+        return None if self.st.s_sink[self.sid] < 0 else _ROUTED
 
-    # -- sender interface (recovery lane; flit counts live in m_sent so
-    # they stay coherent with the kernel's streaming) --------------------
+    # -- sender interface (recovery lane) -------------------------------
     def ready_flit(self, now: int) -> int | None:
-        if self.owner is None:
+        st = self.st
+        e = st.s_owner[self.sid]
+        if e < 0 or st.m_sent[e] >= st.m_size[e]:
             return None
-        f = self.fabric
-        vid = f._s_owner[self.sid]
-        sent = f._m_sent[vid]
-        if sent < f._m_size[vid]:
-            return int(sent)
-        return None
+        return int(st.m_sent[e])
 
     def pop_flit(self) -> int:
-        f = self.fabric
-        vid = f._s_owner[self.sid]
-        flit = int(f._m_sent[vid])
-        f._m_sent[vid] = flit + 1
-        self.owner.flits_sent = flit + 1
+        st = self.st
+        e = st.s_owner[self.sid]
+        flit = int(st.m_sent[e])
+        st.m_sent[e] = flit + 1
         return flit
 
     def release(self) -> None:
-        f = self.fabric
-        vid = int(f._s_owner[self.sid])
-        f._s_owner[self.sid] = -1
-        f._s_sink[self.sid] = -1
-        self.owner = None
-        if vid >= 0:
-            f._free_vid(vid)
-        if f.wake_node is not None:
-            f.wake_node(self.node)
+        _release(self.st, self.sid)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        o = self.owner
         return (
             f"VecInj(node={self.node} cls={self.vc_class} "
-            f"owner={o.uid if o else '-'})"
+            f"owner={int(self.st.s_owner[self.sid])})"
         )
+
+
+def _release(st: VectorState, sid: int) -> None:
+    """The lane pulled the tail: the sender frees, and the packet's
+    message slot with it (the rescue holds the message in Python)."""
+    e = int(st.s_owner[sid])
+    st.s_owner[sid] = -1
+    st.s_sink[sid] = -1
+    if e >= 0:
+        st.free_message(e)
 
 
 class VectorFabric:
     """Array-backed fabric; same cycle semantics as the reference."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        num_vcs: int,
-        flit_buffer_depth: int,
-        routing,
-        num_queue_classes: int,
-        queue_capacity: int,
-        queue_class_of,
-    ) -> None:
-        self.topology = topology
+    def __init__(self, st: VectorState, num_vcs: int, routing) -> None:
+        self.st = st
+        self.topology = st.topology
         self.num_vcs = num_vcs
-        self.flit_buffer_depth = flit_buffer_depth
+        self.flit_buffer_depth = st.D
         self.routing = routing
-        self.soa = TopologySoA(topology, num_vcs)
-        self._queue_class_of = queue_class_of
+        self.soa = st.soa
+        self.NVC = st.NVC
+        self.C = st.C
         self.tracer = None  # never set; VectorEngine rejects tracers
-        #: engine wake hook ``wake_node(node)``: called when an
-        #: injection channel frees up so the gated NI reloads it.
-        self.wake_node = None
-
-        L = self.soa.num_links
-        V = num_vcs
-        D = flit_buffer_depth
-        N = topology.num_nodes
-        C = num_queue_classes
-        R = topology.num_routers
-        ndim = topology.ndim
-        vc_map = routing.vc_map
-        VCLS = vc_map.num_classes
-
-        self.NVC = NVC = L * V
-        self.C = C
-        self.D = D
-        #: total sender ids: all VCs plus one injection channel per
-        #: (node, queue class).
-        self.S = S = NVC + N * C
-        #: message-slot capacity; every live packet owns >= 1 sender.
-        self.M = M = S + 8
-
-        keys = (R * R * VCLS) << ndim
-        if keys > _MAX_ROUTE_KEYS:
-            raise ConfigurationError(
-                f"vector backend: routing key space {keys} exceeds "
-                f"{_MAX_ROUTE_KEYS}; use backend='reference' for this "
-                "topology size"
-            )
-        maxcand = routing.max_static_candidates()
-        self._stride = stride = 2 + maxcand
-        # Claims convert free or reserved slots into held ones, so the
-        # senders parked at one ejection port are bounded per class by
-        # the queue capacity (plus the transient over-commit of
-        # reservation vacating).
-        epcap = C * (queue_capacity + 4) + 8
-        evcap = S + 2 * N + L + 32
-        scap = S + 8
-
-        z = lambda n: np.zeros(n, dtype=np.int32)  # noqa: E731
-        self._s_owner = np.full(S, -1, dtype=np.int32)
-        self._s_sink = np.full(S, -1, dtype=np.int32)
-        s_router = z(S)
-        s_router[:NVC] = self.soa.vc_router
-        for node in range(N):
-            s_router[NVC + node * C : NVC + (node + 1) * C] = (
-                topology.router_of_node(node)
-            )
-        self._s_router = s_router
-        self._v_count = z(NVC)
-        self._v_hp = z(NVC)
-        self._v_flit = z(NVC * D)
-        self._v_arr = z(NVC * D)
-        self._vc_dim = np.ascontiguousarray(self.soa.vc_dim)
-        self._vc_dateline = np.ascontiguousarray(self.soa.vc_dateline)
-        self._m_size = z(M)
-        self._m_dst = z(M)
-        self._m_dstr = z(M)
-        self._m_vcls = z(M)
-        self._m_qcls = z(M)
-        self._m_hasres = z(M)
-        self._m_sent = z(M)
-        self._m_crossed = z(M)
-        self._m_hops = z(M)
-        self._m_blocked = z(M)
-        self._m_ejected = z(M)
-        self._ls_s = z(L * V)
-        self._ls_sink = z(L * V)
-        self._ls_inj = z(L * V)
-        self._ls_n = z(L)
-        self._l_rr = z(L)
-        self._busy_order = z(L)
-        self._busy_in = z(L)
-        self._ep_s = z(N * epcap)
-        self._ep_n = z(N)
-        self._ep_rr = z(N)
-        self._pending = z(scap)
-        self._still = z(scap)
-        self._qm_free = np.full(N * C, queue_capacity, dtype=np.int32)
-        self._qm_res = z(N * C)
-        # Full route table up front: the key space keeps producing fresh
-        # (position, destination, dateline) combinations for tens of
-        # thousands of cycles, and each lazy miss costs a kernel
-        # suspension plus a Python row fill.  _fill_missing_row remains
-        # as a fallback but should never run.
-        self._rk_idx, self._rows = build_route_table(
-            topology, routing, num_vcs, stride
-        )
-        self._row_count = self._rows.size // stride
-        self._row_cap = self._row_count
-        self._ev = z(evcap * 3)
-        self._inj_used = z(N)
-        self._hdr = z(16)
-        self._cnt = np.zeros(4, dtype=np.int64)
-
-        self._lib = load_kernel()
-        arrays = (
-            self._s_owner, self._s_sink, self._s_router,
-            self._v_count, self._v_hp, self._v_flit, self._v_arr,
-            self._vc_dim, self._vc_dateline,
-            self._m_size, self._m_dst, self._m_dstr, self._m_vcls,
-            self._m_qcls, self._m_hasres, self._m_sent, self._m_crossed,
-            self._m_hops, self._m_blocked, self._m_ejected,
-            self._ls_s, self._ls_sink, self._ls_inj, self._ls_n,
-            self._l_rr, self._busy_order, self._busy_in,
-            self._ep_s, self._ep_n, self._ep_rr,
-            self._pending, self._still, self._qm_free, self._qm_res,
-            self._rk_idx, self._rows, self._ev, self._inj_used,
-            self._hdr, self._cnt,
-        )
-        self._array_refs = arrays  # keep the buffers alive for the kernel
-        import ctypes
-
-        ptrs = (ctypes.c_int64 * len(arrays))(
-            *(a.ctypes.data for a in arrays)
-        )
-        dims = (ctypes.c_int32 * 12)(
-            L, V, D, N, C, R, ndim, epcap, maxcand, evcap, scap, VCLS
-        )
-        self._k = self._lib.k_new(ptrs, dims)
-        if not self._k:  # pragma: no cover - allocation failure
-            raise MemoryError("kernel state allocation failed")
-
-        # vid <-> Message bookkeeping.
-        self._vids: list[Message | None] = [None] * M
-        self._free_vids = list(range(M - 1, -1, -1))
-
-        # Endpoint hooks and handles.
-        self._reserve_hooks = [None] * N
-        self._deliver_hooks = [None] * N
         self._inj_channels: dict[tuple[int, int], VecInjChannel] = {}
-        self._inj_by_sid: dict[int, VecInjChannel] = {}
         self._vc_handles: dict[int, VecVC] = {}
-
-    def __del__(self):  # pragma: no cover - lifecycle
-        k = getattr(self, "_k", None)
-        if k:
-            self._lib.k_free(k)
-            self._k = None
-
-    # ------------------------------------------------------------------
-    # Wiring (same surface as the reference fabric)
-    # ------------------------------------------------------------------
-    def set_endpoint_hooks(self, node: int, try_reserve, deliver) -> None:
-        self._reserve_hooks[node] = try_reserve
-        self._deliver_hooks[node] = deliver
 
     def injection_channel(self, node: int, vc_class: int) -> VecInjChannel:
         key = (node, vc_class)
         chan = self._inj_channels.get(key)
         if chan is None:
             sid = self.NVC + node * self.C + vc_class
-            chan = VecInjChannel(
-                self, sid, node, self.topology.router_of_node(node), vc_class
+            chan = self._inj_channels[key] = VecInjChannel(
+                self.st, sid, node, vc_class
             )
-            self._inj_channels[key] = chan
-            self._inj_by_sid[sid] = chan
         return chan
-
-    # ------------------------------------------------------------------
-    # Packet entry
-    # ------------------------------------------------------------------
-    def start_injection(self, chan: VecInjChannel, msg: Message, now: int) -> None:
-        if chan.owner is not None:  # pragma: no cover - guarded
-            raise SimulationError("loading busy injection channel")
-        if not self._free_vids:  # pragma: no cover - sized to S + 8
-            raise SimulationError("message-slot pool exhausted")
-        vid = self._free_vids.pop()
-        self._vids[vid] = msg
-        msg.injected_cycle = now
-        msg.blocked_since = now
-        if msg.dst_router < 0:
-            msg.dst_router = self.topology.router_of_node(msg.dst)
-        self._m_size[vid] = msg.size
-        self._m_dst[vid] = msg.dst
-        self._m_dstr[vid] = msg.dst_router
-        self._m_vcls[vid] = msg.vc_class
-        self._m_qcls[vid] = self._queue_class_of(msg.mtype)
-        self._m_hasres[vid] = 1 if msg.has_reservation else 0
-        self._m_sent[vid] = msg.flits_sent
-        self._m_crossed[vid] = msg.crossed_mask
-        self._m_hops[vid] = msg.hops
-        self._m_blocked[vid] = now
-        self._m_ejected[vid] = 0
-        sid = chan.sid
-        self._s_owner[sid] = vid
-        self._s_sink[sid] = -1
-        pn = self._hdr[H_PN]
-        self._pending[pn] = sid
-        self._hdr[H_PN] = pn + 1
-        chan.owner = msg
 
     # ------------------------------------------------------------------
     # Cycle
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
-        evn = self._lib.k_step(self._k, now)
-        if evn == STEP_ROUTE_MISS:
-            evn = self._resume_after_miss(now)
-        if evn == STEP_EV_OVERFLOW:  # pragma: no cover - sized generously
-            raise SimulationError("kernel event buffer overflow")
-        if evn:
-            self._drain_events(now, evn)
-
-    def _resume_after_miss(self, now: int) -> int:
-        """Fill missing route rows until allocation completes, then run
-        the link phase; returns ``k_finish``'s code."""
-        lib, k = self._lib, self._k
-        ret = 2
-        while ret == 2:
-            self._fill_missing_row()
-            ret = lib.k_alloc(k, now, int(self._hdr[H_MISS_IDX]))
-        return lib.k_finish(k, now)
-
-    def _fill_missing_row(self) -> None:
-        hdr = self._hdr
-        r = int(hdr[H_MISS_R])
-        dstr = int(hdr[H_MISS_DSTR])
-        cls = int(hdr[H_MISS_CLS])
-        mask = int(hdr[H_MISS_MASK])
-        adaptive, esc = self.routing.static_candidate_ids(r, dstr, cls, mask)
-        stride = self._stride
-        if len(adaptive) > stride - 2:  # pragma: no cover - sized to map
-            raise SimulationError("route row exceeds candidate capacity")
-        if self._row_count == self._row_cap:
-            self._row_cap *= 2
-            grown = np.zeros(self._row_cap * stride, dtype=np.int32)
-            grown[: self._rows.size] = self._rows
-            self._rows = grown
-            self._array_refs = self._array_refs[:35] + (grown,) + \
-                self._array_refs[36:]
-            self._lib.k_set_rows_ptr(self._k, grown.ctypes.data)
-        base = self._row_count * stride
-        rows = self._rows
-        rows[base] = len(adaptive)
-        rows[base + 1] = esc
-        for j, c in enumerate(adaptive):
-            rows[base + 2 + j] = c
-        R = self.topology.num_routers
-        ndim = self.topology.ndim
-        vcls = self.routing.vc_map.num_classes
-        key = (((r * R + dstr) * vcls + cls) << ndim) | mask
-        self._rk_idx[key] = self._row_count
-        self._row_count += 1
-
-    def _drain_events(self, now: int, evn: int) -> None:
-        vids = self._vids
-        NVC = self.NVC
-        ev = iter(self._ev[: 3 * evn].tolist())
-        for etype, vid, sid in zip(ev, ev, ev):
-            msg = vids[vid]
-            if etype == EV_CLAIM:
-                # The kernel already claimed against the slot mirror;
-                # replaying through the NI hook performs the identical
-                # queue mutation (and must agree with the mirror).
-                if not self._reserve_hooks[msg.dst](msg):
-                    raise SimulationError(
-                        "slot mirror diverged from queue state"
-                    )  # pragma: no cover - mirror is exact
-                msg.blocked_since = -1
-            elif etype == EV_DELIVER:
-                msg.flits_ejected = int(self._m_ejected[vid])
-                if sid >= NVC:  # direct local delivery: free the injector
-                    chan = self._inj_by_sid[sid]
-                    chan.owner = None
-                    if self.wake_node is not None:
-                        self.wake_node(chan.node)
-                self._free_vid(vid)
-                self._deliver_hooks[msg.dst](msg, now)
-            else:  # EV_INJDONE: tail left the injection channel
-                chan = self._inj_by_sid[sid]
-                chan.owner = None
-                if self.wake_node is not None:
-                    self.wake_node(chan.node)
-
-    def _free_vid(self, vid: int) -> None:
-        self._vids[vid] = None
-        self._free_vids.append(vid)
+        st = self.st
+        st.check(st.lib.k_step(st.k, now))
 
     # ------------------------------------------------------------------
     # Introspection (recovery, quiesce, tests)
     # ------------------------------------------------------------------
     def _handle(self, sid: int):
         if sid >= self.NVC:
-            return self._inj_by_sid[sid]
+            node, cls = divmod(sid - self.NVC, self.C)
+            return self.injection_channel(node, cls)
         h = self._vc_handles.get(sid)
         if h is None:
-            h = self._vc_handles[sid] = VecVC(self, sid)
+            h = self._vc_handles[sid] = VecVC(self.st, sid)
         return h
 
     @property
     def pending(self) -> list:
-        """Frontier handles in kernel order, message state synced."""
-        out = []
-        pn = int(self._hdr[H_PN])
-        pending = self._pending
-        s_owner = self._s_owner
-        m_blocked = self._m_blocked
-        vids = self._vids
-        for i in range(pn):
-            sid = int(pending[i])
-            vid = s_owner[sid]
-            if vid >= 0:
-                vids[vid].blocked_since = int(m_blocked[vid])
-            out.append(self._handle(sid))
-        return out
+        """Frontier handles in kernel order."""
+        st = self.st
+        return [self._handle(int(sid)) for sid in st.pending[: st.hdr[H_PN]]]
 
     def frontier_senders(self) -> list:
         return [
@@ -563,37 +242,24 @@ class VectorFabric:
         return out
 
     def detach_frontier(self, sender) -> None:
-        """Remove a frontier from the pending set (rescue path).
-
-        Message progress fields are synced from the arrays because the
-        recovery lane and its bookkeeping operate on the object.
-        """
-        sid = sender.sid
-        self._lib.k_detach(self._k, sid)
-        vid = self._s_owner[sid]
-        if vid >= 0:
-            msg = self._vids[vid]
-            msg.flits_sent = int(self._m_sent[vid])
-            msg.hops = int(self._m_hops[vid])
-            msg.crossed_mask = int(self._m_crossed[vid])
-            msg.blocked_since = int(self._m_blocked[vid])
-            msg.flits_ejected = int(self._m_ejected[vid])
+        """Remove a frontier from the pending set (rescue path)."""
+        self.st.lib.k_detach(self.st.k, sender.sid)
 
     def occupancy(self) -> int:
-        return int(self._hdr[H_OCC])
+        return int(self.st.hdr[H_OCC])
 
     @property
     def flits_forwarded(self) -> int:
-        return int(self._cnt[C_FORWARDED])
+        return int(self.st.cnt[C_FORWARDED])
 
     @property
     def flits_injected(self) -> int:
-        return int(self._cnt[C_INJECTED])
+        return int(self.st.cnt[C_INJECTED])
 
     @property
     def flits_ejected(self) -> int:
-        return int(self._cnt[C_EJECTED])
+        return int(self.st.cnt[C_EJECTED])
 
     @property
     def alloc_failures(self) -> int:
-        return int(self._cnt[C_ALLOCFAIL])
+        return int(self.st.cnt[C_ALLOCFAIL])

@@ -5,6 +5,8 @@ with the system C compiler into ``_build/`` next to this module, keyed
 by a hash of the source so stale objects are never loaded after an
 upgrade.  The build is atomic (compile to a temporary name, then
 ``os.replace``) so parallel sweep workers racing to build it are safe.
+A successful build unlinks the superseded ``kernel-*.so`` files beside
+it (a process that still has one loaded keeps its mapping).
 
 No compiler means no vector backend: :func:`load_kernel` raises a clear
 error pointing at ``backend="reference"`` instead of failing obscurely.
@@ -49,8 +51,10 @@ def _ensure_built() -> Path:
         return target
     cc = _find_compiler()
     _BUILD_DIR.mkdir(exist_ok=True)
+    # The temporary name must not match the "kernel-*.so" pruning glob
+    # below, or a racing build could unlink it mid-compile.
     fd, tmp = tempfile.mkstemp(
-        suffix=".so", prefix="kernel-", dir=str(_BUILD_DIR)
+        suffix=".so", prefix="tmp-kernel-", dir=str(_BUILD_DIR)
     )
     os.close(fd)
     cmd = [cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(_SRC)]
@@ -65,27 +69,33 @@ def _ensure_built() -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for old in _BUILD_DIR.glob("kernel-*.so"):
+        if old != target:
+            old.unlink(missing_ok=True)
     return target
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     i32, i64, p = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-    lib.k_new.argtypes = [ctypes.POINTER(i64), ctypes.POINTER(i32)]
-    lib.k_new.restype = p
-    lib.k_free.argtypes = [p]
-    lib.k_free.restype = None
-    lib.k_set_rows_ptr.argtypes = [p, i64]
-    lib.k_set_rows_ptr.restype = None
-    lib.k_alloc.argtypes = [p, i32, i32]
-    lib.k_alloc.restype = i32
-    lib.k_finish.argtypes = [p, i32]
-    lib.k_finish.restype = i32
-    lib.k_step.argtypes = [p, i32]
-    lib.k_step.restype = i32
-    lib.k_longest_blocked.argtypes = [p, i32, i32, i32]
-    lib.k_longest_blocked.restype = i32
-    lib.k_detach.argtypes = [p, i32]
-    lib.k_detach.restype = None
+    signatures = {
+        "k_new": ([ctypes.POINTER(i32)], p),
+        "k_bind": ([p, ctypes.POINTER(i64)], None),
+        "k_free": ([p], None),
+        "k_free_msg": ([p, i32], None),
+        "k_qpush": ([p, i32, i32], None),
+        "k_qpop": ([p, i32], i32),
+        "k_add_msg": ([p], i32),
+        "k_enqueue_root": ([p, i32], i32),
+        "k_endpoint": ([p, i32, i32, i32], i32),
+        "k_step": ([p, i32], i32),
+        "k_detect": ([p, i32, i32, i32], i32),
+        "k_longest_blocked": ([p, i32, i32, i32], i32),
+        "k_detach": ([p, i32], None),
+    }
+    for name, (args, res) in signatures.items():
+        fn = getattr(lib, name)
+        fn.argtypes = args
+        fn.restype = res
     return lib
 
 

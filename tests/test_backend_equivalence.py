@@ -4,7 +4,10 @@ The vector backend (``SimConfig(backend="vector")``) re-implements the
 fabric as struct-of-arrays state advanced by a compiled kernel, but it
 must produce *exactly* the results of the reference engine — every
 counter, every float accumulation, every per-node controller statistic.
-These tests compare deep snapshots of both engines after identical runs:
+These tests compare deep snapshots of both engines after identical runs,
+and endpoint state snapshots every ``K`` cycles along the way (per-class
+queue slot accounting and versions, memory-controller state, detector
+timers), so a divergence names its first cycle and field:
 
 * a ladder of small deterministic points covering every scheme,
 * saturated 8x8 points that exercise deflection and progressive
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -71,11 +75,50 @@ def engine_snapshot(engine) -> dict:
     return snap
 
 
-def assert_backends_identical(cycles: int, **cfg) -> dict:
+def state_snapshot(engine) -> dict:
+    """Endpoint state mid-run: every NI queue's slot accounting and
+    version, every memory controller, every detector's timer."""
+    snap = {}
+    for ni in engine.interfaces:
+        node = ni.node
+        for side, bank in (("in", ni.in_bank), ("out", ni.out_bank)):
+            for cls, q in enumerate(bank.queues):
+                key = f"ni{node}.{side}{cls}"
+                snap[f"{key}.len"] = len(q)
+                snap[f"{key}.held"] = q.held
+                snap[f"{key}.reserved"] = q.reserved
+                snap[f"{key}.version"] = q.version
+        c = ni.controller
+        snap[f"ni{node}.mc.idle"] = c.current is None
+        snap[f"ni{node}.mc.busy_until"] = c.busy_until
+        snap[f"ni{node}.mc.current_in_cls"] = c.current_in_cls
+        snap[f"ni{node}.dmb"] = ni.dmb is None
+    detector = engine.scheme.detector
+    for i, det in enumerate(detector.sites if detector is not None else ()):
+        snap[f"det{i}.since"] = det.since
+        snap[f"det{i}.episode_counted"] = det.episode_counted
+    return snap
+
+
+def assert_backends_identical(cycles: int, every: int | None = None,
+                              **cfg) -> dict:
+    """Run both backends; with ``every``, compare :func:`state_snapshot`
+    each ``every`` cycles and report the first divergent cycle/field."""
     ref = build_engine(SimConfig(backend="reference", **cfg))
     vec = build_engine(SimConfig(backend="vector", **cfg))
-    ref.run(cycles)
-    vec.run(cycles)
+    step = every or cycles
+    while ref.now < cycles:
+        n = min(step, cycles - ref.now)
+        ref.run(n)
+        vec.run(n)
+        if every:
+            a, b = state_snapshot(ref), state_snapshot(vec)
+            bad = [k for k in a if a[k] != b[k]]
+            assert not bad, (
+                f"backend divergence for {cfg} by cycle {ref.now}: first "
+                f"field {bad[0]}: {a[bad[0]]!r} != {b[bad[0]]!r} "
+                f"({len(bad)} fields differ)"
+            )
     a, b = engine_snapshot(ref), engine_snapshot(vec)
     assert a == b, (
         "backend divergence for "
@@ -84,6 +127,9 @@ def assert_backends_identical(cycles: int, **cfg) -> dict:
     )
     return a
 
+
+#: cycles between mid-run state snapshots.
+SNAPSHOT_EVERY = 25
 
 LADDER = [
     dict(scheme="SA", pattern="PAT721", dims=(4, 4), num_vcs=8, load=0.02, seed=1),
@@ -100,7 +146,7 @@ LADDER = [
     "cfg", LADDER, ids=[f"{c['scheme']}-{c['load']}-s{c['seed']}" for c in LADDER]
 )
 def test_small_points_bit_identical(cfg):
-    assert_backends_identical(4000, **cfg)
+    assert_backends_identical(4000, every=SNAPSHOT_EVERY, **cfg)
 
 
 TOPOLOGY_LADDER = [
@@ -129,13 +175,40 @@ TOPOLOGY_LADDER = [
 def test_new_topology_points_bit_identical(cfg):
     """Table routing exports to the kernel identically to the reference
     engine on full-mesh, open-mesh and irregular substrates."""
-    assert_backends_identical(4000, **cfg)
+    assert_backends_identical(4000, every=SNAPSHOT_EVERY, **cfg)
+
+
+ROUTE_TABLE_POINTS = [
+    dict(scheme=scheme, pattern="PAT721", num_vcs=num_vcs, load=0.01)
+    for scheme, num_vcs in (("SA", 8), ("DR", 4), ("PR", 4))
+] + [
+    dict(topology="fat_tree", dims=(2, 4), scheme=scheme, pattern="PAT721",
+         num_vcs=num_vcs, load=0.01)
+    for scheme, num_vcs in (("SA", 8), ("DR", 4), ("PR", 4))
+] + TOPOLOGY_LADDER
+
+
+@pytest.mark.parametrize(
+    "cfg", ROUTE_TABLE_POINTS,
+    ids=[f"{c.get('topology', 'torus')}-{c['scheme']}-{i}"
+         for i, c in enumerate(ROUTE_TABLE_POINTS)],
+)
+def test_route_table_is_complete(cfg):
+    """Every (router, dst_router != router, class, mask) key has a row:
+    the kernel treats a missing one as a build defect, not a miss."""
+    engine = build_engine(SimConfig(backend="vector", **cfg))
+    R = engine.topology.num_routers
+    ndim = engine.topology.ndim
+    vcls = engine.scheme.routing.vc_map.num_classes
+    rk = engine.state.rk_idx.reshape(R, R, vcls, 1 << ndim)
+    off_diagonal = ~np.eye(R, dtype=bool)
+    assert (rk[off_diagonal] >= 0).all()
 
 
 def test_saturated_pr_exercises_rescue():
     """8x8 PR past saturation: token captures and lane rescues occur and agree."""
     snap = assert_backends_identical(
-        2500,
+        2500, every=SNAPSHOT_EVERY,
         scheme="PR", pattern="PAT721", dims=(8, 8), num_vcs=4,
         load=0.014, seed=3,
     )
@@ -144,7 +217,7 @@ def test_saturated_pr_exercises_rescue():
 
 def test_saturated_dr_exercises_deflection():
     snap = assert_backends_identical(
-        4000,
+        4000, every=SNAPSHOT_EVERY,
         scheme="DR", pattern="PAT271", dims=(8, 8), num_vcs=4,
         load=0.022, seed=4,
     )
@@ -152,18 +225,18 @@ def test_saturated_dr_exercises_deflection():
 
 
 def test_dr_drain_mode_rearm_ties_identical():
-    """Timer-expiry ordering audit: same-cycle ties + mid-loop re-arm.
+    """Timer-expiry ordering audit: same-cycle ties + mid-sweep re-arm.
 
     DR's drain policy keeps deflecting queue heads in a while-loop after
-    the first success, which re-arms the detector *mid-step* — the
-    vector bank's ``_rearm_midloop`` path, which must leave the site
-    dirty so the next cycle re-collects a still-fired detector even
-    though its calendar entry is stale.  At saturation several nodes'
-    timers expire on the same cycle, so this also pins the bank's
-    expiry ordering against the reference engine's build-order scan.
+    the first success, which changes the node's queues *mid-sweep*: the
+    kernel's detection sweep suspends for the deflection and must resume
+    at the next detector, which then sees the mutated queues exactly as
+    the reference's in-order scan does.  At saturation several nodes'
+    timers expire on the same cycle, so this also pins the expiry
+    ordering against the reference engine's build-order scan.
     """
     snap = assert_backends_identical(
-        4000,
+        4000, every=SNAPSHOT_EVERY,
         scheme="DR", pattern="PAT271", dims=(8, 8), num_vcs=4,
         load=0.022, seed=4, recovery_policy="drain",
     )

@@ -199,29 +199,63 @@ class TestTraceQuiesce:
         assert not e._empty()
 
 
-class TestVectorGating:
-    def test_same_sweep_wake_is_stepped_this_cycle(self):
+class _SinkAtNode:
+    """Coherence stand-in: every access is a one-message transaction, a
+    terminating request from the accessing cpu to ``block``'s node."""
+
+    def __init__(self, num_nodes, protocol):
+        self.num_nodes = num_nodes
+        self.mtype = protocol.types[0]
+
+    def access(self, cpu, op, block, now):
+        from types import SimpleNamespace
+
+        from repro.protocol.message import Message, Transaction
+
+        txn = Transaction(uid=0, requester=cpu, home=block, chain_length=1,
+                          created_cycle=now, outstanding=1, messages_used=1)
+        txn.root = Message(self.mtype, src=cpu, dst=block, transaction=txn,
+                           created_cycle=now)
+        return SimpleNamespace(transaction=txn, requester=cpu, roots=[txn.root])
+
+
+def _admission_cycles(backend):
+    """(admission cycle of each node's waiting root, completion cycle of
+    its first transaction) for nodes 9 and 1, both sending their
+    one-message transactions to node 2 with one MSHR each."""
+    from repro.protocol.transactions import PAT100
+    from repro.traffic.synthetic import pattern_couplings
+    from repro.traffic.trace import TraceRecord, TraceTraffic
+
+    records = [TraceRecord(1, cpu, "R", 2) for cpu in (9, 9, 1, 1)]
+    e = (VectorEngine if backend == "vector" else Engine)(
+        SimConfig(dims=(4, 4), scheme="PR", max_outstanding=1,
+                  backend=backend),
+        traffic=TraceTraffic(records, _SinkAtNode(16, PAT100.protocol)),
+        protocol=PAT100.protocol,
+        types_used=PAT100.types_used,
+        couplings=pattern_couplings(PAT100),
+    )
+    admitted = {}
+    while len(admitted) < 2 and e.now < 500:
+        e.step()
+        for cpu in (9, 1):
+            if cpu not in admitted and not e.interfaces[cpu].source_queue:
+                admitted[cpu] = e.now
+    first = {}
+    for t in e.traffic.transactions:
+        first.setdefault(t.requester, t.completed_cycle)
+    return admitted, first
+
+
+class TestSameSweepAdmission:
+    def test_mshr_freed_mid_sweep(self):
         """A transaction completing during node 2's step frees an MSHR at
-        node 9 (still ahead in the sweep) and node 1 (already passed): the
-        reference's unconditional sweep lets node 9 react this cycle and
-        node 1 next cycle, so the gated sweep must too."""
-        engine = VectorEngine(SimConfig(dims=(4, 4), load=0.0))
-        engine.run(2)  # construction wakes every node once
-        stepped = []
-        step_node = engine._step_node
-
-        def recording_step(ni, node, now):
-            stepped.append((now, node))
-            step_node(ni, node, now)
-            if node == 2:
-                for other in (9, 1):
-                    engine.interfaces[other].outstanding += 1
-                    engine.interfaces[other].on_transaction_complete()
-
-        engine._step_node = recording_step
-        engine._due_next[2] = 1
-        engine.step()
-        assert stepped == [(3, 2), (3, 9)]
-        engine.step()
-        assert (4, 1) in stepped
-
+        node 9 (still ahead in the sweep), which admits its waiting root
+        in the same cycle, and at node 1 (already passed), which admits
+        it the next cycle — on both backends."""
+        ref = _admission_cycles("reference")
+        admitted, done = ref
+        assert min(done.values()) > 1
+        assert admitted == {9: done[9], 1: done[1] + 1}
+        assert _admission_cycles("vector") == ref
